@@ -1,6 +1,7 @@
 // Microbenchmarks of the database substrate: predicate scans, exact join
 // cardinality computation (the HyPer stand-in that labels training data),
-// sample bitmap evaluation and IBJS probing.
+// labelling a whole training corpus, sample bitmap evaluation and IBJS
+// probing.
 
 #include <benchmark/benchmark.h>
 
@@ -82,6 +83,30 @@ void BM_PredicateScan(benchmark::State& state) {
                                .num_rows()));
 }
 BENCHMARK(BM_PredicateScan);
+
+// Labels a fresh corpus the way training data is made: GenerateLabeled of
+// N queries across the process pool (query drawing, exact cardinalities
+// and sample bitmaps). Wall time, reported as queries/s.
+void BM_LabelWorkload(benchmark::State& state) {
+  ExecFixture& fixture = ExecFixture::Get();
+  const size_t count = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    GeneratorConfig config;
+    config.seed = 11;
+    QueryGenerator generator(&fixture.db, config);
+    benchmark::DoNotOptimize(
+        generator
+            .GenerateLabeled(fixture.executor, fixture.samples, count, "bench")
+            .size());
+  }
+  state.counters["queries_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(count),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LabelWorkload)
+    ->Arg(512)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SampleBitmap(benchmark::State& state) {
   ExecFixture& fixture = ExecFixture::Get();

@@ -1,5 +1,8 @@
 #include "core/model.h"
 
+#include <cstdint>
+#include <limits>
+
 #include "util/file.h"
 
 namespace lc {
@@ -124,6 +127,9 @@ StatusOr<MscnModel> MscnModel::FromBytes(const std::string& bytes) {
   model.config_.variant = static_cast<FeatureVariant>(variant);
   int64_t hidden = 0;
   LC_RETURN_IF_ERROR(reader.ReadI64(&hidden));
+  if (hidden < 1 || hidden > std::numeric_limits<int32_t>::max()) {
+    return Status::Corruption("hidden_units out of range");
+  }
   model.config_.hidden_units = static_cast<int>(hidden);
   LC_RETURN_IF_ERROR(reader.ReadI64(&model.dims_.table_features));
   LC_RETURN_IF_ERROR(reader.ReadI64(&model.dims_.join_features));

@@ -2,12 +2,27 @@
 // which the paper uses to label training queries with true cardinalities
 // (section 3.5).
 //
+// Selection is column at a time. Each table's predicates are ordered
+// tightest first by the column statistics. The rows are then cut into
+// fixed-size blocks. Within a block, the first predicate compacts the
+// matching row ids out of `Column::raw_values()` with a branch-free
+// compare, and each later predicate filters that row-id vector the same
+// way. The compares drop NULL (kNullValue) exactly as Predicate::Matches
+// does; this matters for `<`, because kNullValue is INT32_MIN and would
+// otherwise pass every `v < literal`.
+//
 // Join cardinalities are computed without materializing join results: the
 // query's join graph (always a tree for PK-FK schemas like IMDb's star) is
 // rooted anywhere and each node sends its parent a multiset "key -> number
-// of subtree join combinations" message. This is exact for acyclic joins and
+// of subtree join combinations" message, computed over the node's selected
+// row ids one child column at a time. This is exact for acyclic joins and
 // linear in the scanned rows; the test suite cross-validates it against a
 // brute-force nested-loop counter.
+//
+// The row-id and weight blocks and the dense message arrays live in
+// per-thread scratch that is reused from query to query. It is bounded by
+// one block plus one key domain per query table, so labelling on a thread
+// pool allocates nothing per query node once each worker has warmed up.
 
 #ifndef LC_EXEC_EXECUTOR_H_
 #define LC_EXEC_EXECUTOR_H_
@@ -20,8 +35,9 @@
 
 namespace lc {
 
-/// Exact COUNT(*) evaluation over a Database. Stateless and read-only;
-/// the database must outlive the executor.
+/// Exact COUNT(*) evaluation over a Database. Read-only and reentrant: the
+/// only mutable state is per-thread scratch, so one executor may serve any
+/// number of threads. The database must outlive the executor.
 class Executor {
  public:
   explicit Executor(const Database* db);
@@ -30,19 +46,10 @@ class Executor {
   /// connected and acyclic (checked).
   int64_t Cardinality(const Query& query) const;
 
-  /// Rows of `table` matching all predicates (which must all reference
-  /// `table`).
-  std::vector<uint32_t> SelectRows(TableId table,
-                                   const std::vector<Predicate>& predicates)
-      const;
-
-  /// Number of rows of `table` matching all predicates.
+  /// Number of rows of `table` matching all predicates (which must all
+  /// reference `table`).
   int64_t CountSelected(TableId table,
                         const std::vector<Predicate>& predicates) const;
-
-  /// True if `row` of `table` passes every predicate.
-  bool RowMatches(TableId table, uint32_t row,
-                  const std::vector<Predicate>& predicates) const;
 
  private:
   const Database* db_;

@@ -27,12 +27,17 @@ void BinaryWriter::WriteFloats(const float* values, size_t count) {
   Append(values, count * sizeof(float));
 }
 
+// Every bounds check compares against the bytes left, never
+// `offset_ + count`: a crafted count near 2^64 would wrap that sum and pass.
 Status BinaryReader::ReadBytes(void* out, size_t count) {
-  if (offset_ + count > buffer_.size()) {
+  if (count > buffer_.size() - offset_) {
     return Status::Corruption(
         Format("read of %zu bytes at offset %zu exceeds buffer of %zu bytes",
                count, offset_, buffer_.size()));
   }
+  // An empty vector's data() may be null, and memcpy's pointers must not
+  // be even for a zero count.
+  if (count == 0) return Status::OK();
   std::memcpy(out, buffer_.data() + offset_, count);
   offset_ += count;
   return Status::OK();
@@ -60,7 +65,7 @@ Status BinaryReader::ReadF64(double* value) {
 Status BinaryReader::ReadString(std::string* value) {
   uint64_t length = 0;
   LC_RETURN_IF_ERROR(ReadU64(&length));
-  if (offset_ + length > buffer_.size()) {
+  if (length > buffer_.size() - offset_) {
     return Status::Corruption("string length exceeds buffer");
   }
   value->assign(buffer_.data() + offset_, length);
@@ -71,7 +76,7 @@ Status BinaryReader::ReadString(std::string* value) {
 Status BinaryReader::ReadFloats(std::vector<float>* values) {
   uint64_t count = 0;
   LC_RETURN_IF_ERROR(ReadU64(&count));
-  if (offset_ + count * sizeof(float) > buffer_.size()) {
+  if (count > (buffer_.size() - offset_) / sizeof(float)) {
     return Status::Corruption("float array length exceeds buffer");
   }
   values->resize(count);

@@ -4,6 +4,7 @@
 // sound.
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -208,6 +209,32 @@ TEST_F(TrainingTest, ModelRejectsCorruptFiles) {
   bytes = model.ToBytes();
   bytes.resize(bytes.size() / 2);
   EXPECT_FALSE(MscnModel::FromBytes(bytes).ok());
+}
+
+TEST_F(TrainingTest, ModelRejectsHiddenUnitsOutsideInt32) {
+  MscnConfig config = SmallConfig();
+  config.hidden_units = 64;
+  const Featurizer featurizer(db_, config.variant, samples_->sample_size());
+  Rng rng(1);
+  MscnModel model(featurizer.dims(), config, &rng);
+  model.set_normalizer(TargetNormalizer(0.0, 5.0));
+  const std::string bytes = model.ToBytes();
+  ASSERT_TRUE(MscnModel::FromBytes(bytes).ok());
+  // hidden_units is the int64 after magic, version and the variant byte.
+  constexpr size_t kHiddenOffset = 4 + 4 + 1;
+  int64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + kHiddenOffset, sizeof(stored));
+  ASSERT_EQ(stored, config.hidden_units);
+  // 2^32 + 64 narrows to the real 64 under a plain int cast, so without
+  // the range check this model would load.
+  for (const int64_t hidden :
+       {(int64_t{1} << 32) + 64, int64_t{0}, int64_t{-64}}) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + kHiddenOffset, &hidden, sizeof(hidden));
+    const auto loaded = MscnModel::FromBytes(patched);
+    ASSERT_FALSE(loaded.ok()) << hidden;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << hidden;
+  }
 }
 
 TEST_F(TrainingTest, ByteSizeMatchesParameterCount) {

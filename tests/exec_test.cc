@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
+
 #include "db/column.h"
 #include "exec/index.h"
 #include "exec/query.h"
 #include "imdb/imdb.h"
 #include "util/rng.h"
+#include "workload/generator.h"
 
 namespace lc {
 namespace {
@@ -235,14 +239,81 @@ TEST(ExecutorTest, EmptyResultWhenPredicateSelectsNothing) {
   EXPECT_EQ(executor.Cardinality(query), 0);
 }
 
-TEST(ExecutorTest, SelectRowsMatchesCount) {
+TEST(ExecutorTest, CountSelectedMatchesPredicateMatches) {
   const Database db = TinyDatabase();
   const Executor executor(&db);
-  const std::vector<Predicate> predicates = {{1, 2, CompareOp::kEq, 1}};
-  const std::vector<uint32_t> rows = executor.SelectRows(1, predicates);
-  EXPECT_EQ(static_cast<int64_t>(rows.size()),
-            executor.CountSelected(1, predicates));
-  EXPECT_EQ(rows, (std::vector<uint32_t>{0, 2, 3, 5, 6}));
+  // b.z = {1, 2, 1, 1, 2, 1, 1}; b.a_id holds a NULL in its last row.
+  EXPECT_EQ(executor.CountSelected(1, {{1, 2, CompareOp::kEq, 1}}), 5);
+  EXPECT_EQ(executor.CountSelected(1, {{1, 1, CompareOp::kLt, 3}}), 3);
+  EXPECT_EQ(executor.CountSelected(1, {{1, 1, CompareOp::kGt, -1}}), 6);
+  EXPECT_EQ(executor.CountSelected(1, {{1, 2, CompareOp::kEq, 1},
+                                       {1, 1, CompareOp::kLt, 3}}),
+            2);
+  EXPECT_EQ(executor.CountSelected(1, {}), 7);
+}
+
+// One nullable column of `rows` values spread over the whole int32 range,
+// including its extremes, so a scan crosses several selection blocks.
+Database WideNullableTable(size_t rows, uint64_t seed) {
+  Schema schema;
+  schema.AddTable(TableDef{"t", {{"id", true}, {"v", false}, {"w", false}},
+                           /*primary_key=*/0});
+  Database db(std::move(schema));
+  Table& table = db.table(0);
+  Rng rng(seed);
+  const int32_t extremes[] = {std::numeric_limits<int32_t>::min() + 1,
+                              std::numeric_limits<int32_t>::max(), 0, -1, 1};
+  for (size_t row = 0; row < rows; ++row) {
+    table.column(0).Append(static_cast<int32_t>(row));
+    for (int column = 1; column <= 2; ++column) {
+      const int64_t draw = rng.UniformInt(0, 9);
+      if (draw == 0) {
+        table.column(column).AppendNull();
+      } else if (draw == 1) {
+        table.column(column).Append(
+            extremes[rng.UniformInt(0, std::size(extremes) - 1)]);
+      } else {
+        table.column(column).Append(
+            static_cast<int32_t>(rng.UniformInt(-50, 50)));
+      }
+    }
+  }
+  db.Finalize();
+  return db;
+}
+
+TEST(ExecutorTest, CountSelectedEqualsMatchesOverNullsAndExtremes) {
+  const Database db = WideNullableTable(5000, 17);
+  const Executor executor(&db);
+  const Table& table = db.table(0);
+  ASSERT_GT(table.column(1).null_count(), 0u);
+  const int32_t literals[] = {std::numeric_limits<int32_t>::min() + 1,
+                              std::numeric_limits<int32_t>::max(), 0, 7, -50};
+  const auto reference = [&](const std::vector<Predicate>& predicates) {
+    int64_t count = 0;
+    for (size_t row = 0; row < table.num_rows(); ++row) {
+      bool matches = true;
+      for (const Predicate& predicate : predicates) {
+        matches = matches &&
+                  predicate.Matches(table.column(predicate.column).raw(row));
+      }
+      count += matches ? 1 : 0;
+    }
+    return count;
+  };
+  for (int op = 0; op < kNumCompareOps; ++op) {
+    for (const int32_t literal : literals) {
+      const Predicate first{0, 1, static_cast<CompareOp>(op), literal};
+      EXPECT_EQ(executor.CountSelected(0, {first}), reference({first}))
+          << op << " " << literal;
+      for (int second_op = 0; second_op < kNumCompareOps; ++second_op) {
+        const std::vector<Predicate> both = {
+            first, {0, 2, static_cast<CompareOp>(second_op), 3}};
+        EXPECT_EQ(executor.CountSelected(0, both), reference(both))
+            << op << " " << literal << " " << second_op;
+      }
+    }
+  }
 }
 
 TEST(ExecutorTest, MatchesBruteForceOnTinyDatabase) {
@@ -316,6 +387,143 @@ TEST_P(ExecutorPropertyTest, TreeCountEqualsBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorPropertyTest,
                          testing::Range(0, 6));
+
+// Random tree queries whose predicates include every operator at the
+// int32 extremes over title.production_year, which holds NULLs. A bare
+// `v < literal` scan would count the NULL rows, since kNullValue is
+// INT32_MIN.
+TEST_P(ExecutorPropertyTest, NullableColumnsEqualBruteForce) {
+  ImdbConfig config;
+  config.seed = 2000 + static_cast<uint64_t>(GetParam());
+  config.num_titles = 100;
+  config.num_companies = 20;
+  config.num_persons = 30;
+  config.num_keywords = 15;
+  const Database db = GenerateImdb(config);
+  const Executor executor(&db);
+  const Schema& schema = db.schema();
+  const ImdbColumns cols = ResolveImdbColumns(schema);
+  ASSERT_GT(db.table(cols.title).column(cols.title_production_year)
+                .null_count(),
+            0u);
+
+  Rng rng(700 + static_cast<uint64_t>(GetParam()));
+  const int32_t extremes[] = {std::numeric_limits<int32_t>::min() + 1,
+                              std::numeric_limits<int32_t>::max()};
+  for (int op = 0; op < kNumCompareOps; ++op) {
+    for (const int32_t literal : extremes) {
+      Query query;
+      query.tables = {cols.title};
+      const int num_joins = static_cast<int>(rng.UniformInt(0, 1));
+      if (num_joins == 1) {
+        const int edge = static_cast<int>(
+            rng.UniformInt(0, schema.num_join_edges() - 1));
+        query.joins = {edge};
+        query.tables.push_back(schema.join_edge(edge).Other(cols.title));
+      }
+      query.predicates = {{cols.title, cols.title_production_year,
+                           static_cast<CompareOp>(op), literal}};
+      if (rng.Bernoulli(0.5)) {
+        query.predicates.push_back(
+            {cols.title, cols.title_kind_id,
+             static_cast<CompareOp>(rng.UniformInt(0, 2)),
+             extremes[rng.UniformInt(0, 1)]});
+      }
+      query.Canonicalize();
+      EXPECT_EQ(executor.Cardinality(query), BruteForceCardinality(db, query))
+          << query.Serialize();
+    }
+  }
+}
+
+// A chain a <- b <- c, so that b is an inner node: it receives c's message
+// and sends its own to the root a. (IMDb's star never has one, because the
+// root is always title.) c is larger than one selection block.
+TEST(ExecutorTest, ChainThroughInnerNodeEqualsBruteForce) {
+  Schema schema;
+  const TableId a = schema.AddTable(
+      TableDef{"a", {{"id", true}, {"x", false}}, /*primary_key=*/0});
+  const TableId b = schema.AddTable(TableDef{
+      "b", {{"id", true}, {"a_id", true}, {"y", false}}, /*primary_key=*/0});
+  const TableId c = schema.AddTable(TableDef{
+      "c", {{"id", true}, {"b_id", true}, {"z", false}}, /*primary_key=*/0});
+  schema.AddJoinEdge(a, "id", b, "a_id");
+  schema.AddJoinEdge(b, "id", c, "b_id");
+  Database db(std::move(schema));
+  Rng rng(31);
+  const auto append = [&](Table& table, int32_t rows, int32_t key_range) {
+    for (int32_t row = 0; row < rows; ++row) {
+      table.column(0).Append(row);
+      if (key_range > 0) {
+        if (rng.Bernoulli(0.05)) {
+          table.column(1).AppendNull();
+        } else {
+          table.column(1).Append(
+              static_cast<int32_t>(rng.UniformInt(0, key_range - 1)));
+        }
+      }
+      Column& value = table.column(key_range > 0 ? 2 : 1);
+      if (rng.Bernoulli(0.1)) {
+        value.AppendNull();
+      } else {
+        value.Append(static_cast<int32_t>(rng.UniformInt(0, 9)));
+      }
+    }
+  };
+  append(db.table(a), 20, 0);
+  append(db.table(b), 300, 20);
+  append(db.table(c), 2500, 300);
+  db.Finalize();
+  const Executor executor(&db);
+
+  for (int trial = 0; trial < 8; ++trial) {
+    Query query;
+    query.tables = {a, b, c};
+    query.joins = {0, 1};
+    const std::pair<TableId, int> columns[] = {{a, 1}, {b, 2}, {c, 2}};
+    for (const auto& [table, column] : columns) {
+      if (!rng.Bernoulli(0.6)) continue;
+      query.predicates.push_back(
+          {table, column, static_cast<CompareOp>(rng.UniformInt(0, 2)),
+           static_cast<int32_t>(rng.UniformInt(0, 9))});
+    }
+    query.Canonicalize();
+    EXPECT_EQ(executor.Cardinality(query), BruteForceCardinality(db, query))
+        << query.Serialize();
+  }
+}
+
+// Golden labels: a fixed, seeded corpus of 300 queries with 0-4 joins at
+// the default IMDb scale, empty results included. The checksum was
+// recorded from the row-at-a-time executor this one replaced, so any
+// change to the labels fails here.
+TEST(ExecutorGoldenTest, DefaultScaleCorpusChecksum) {
+  const Database db = GenerateImdb(ImdbConfig{});
+  const Executor executor(&db);
+  const SampleSet samples(&db, /*sample_size=*/8, /*seed=*/1);
+  GeneratorConfig config;
+  config.seed = 2024;
+  config.max_joins = 4;
+  config.skip_empty = false;
+  QueryGenerator generator(&db, config);
+  const Workload workload =
+      generator.GenerateLabeled(executor, samples, 300, "golden");
+  ASSERT_EQ(workload.size(), 300u);
+
+  // FNV-1a over the cardinalities in corpus order.
+  uint64_t checksum = 14695981039346656037ull;
+  int64_t sum = 0;
+  for (const LabeledQuery& labeled : workload.queries) {
+    const uint64_t value = static_cast<uint64_t>(labeled.cardinality);
+    for (int byte = 0; byte < 8; ++byte) {
+      checksum ^= (value >> (8 * byte)) & 0xff;
+      checksum *= 1099511628211ull;
+    }
+    sum += labeled.cardinality;
+  }
+  EXPECT_EQ(sum, 37594176);
+  EXPECT_EQ(checksum, 4042375823297383928ull);
+}
 
 TEST(HashIndexTest, LookupReturnsAllRows) {
   const Database db = TinyDatabase();

@@ -1,6 +1,7 @@
 // Tests for string helpers (including the strict untrusted-text parsers),
-// file utilities, env knobs, hashing, the bit vector, and the swappable
-// shared handle under copy-train-swap model updates.
+// file utilities, env knobs, hashing, the bit vector, the binary reader's
+// bounds checks, and the swappable shared handle under copy-train-swap
+// model updates.
 
 #include <atomic>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include "util/env.h"
 #include "util/file.h"
 #include "util/hash.h"
+#include "util/serialize.h"
 #include "util/str.h"
 #include "util/swap_handle.h"
 #include "util/timer.h"
@@ -254,6 +256,67 @@ TEST(BitVectorTest, ToStringAndClear) {
   EXPECT_EQ(bits.ToString(), "0100");
   bits.Clear();
   EXPECT_TRUE(bits.None());
+}
+
+// A length prefix followed by a few payload bytes, as a crafted file
+// would carry it.
+std::string LengthPrefixed(uint64_t length) {
+  BinaryWriter writer;
+  writer.WriteU64(length);
+  writer.WriteU32(0x01020304);
+  return writer.buffer();
+}
+
+TEST(BinaryReaderTest, HugeLengthsAreCorruptionNotWraparound) {
+  // offset + 4 * 2^62 and offset + (2^64 - 1) both wrap to a small number,
+  // which the old `offset + count > size` checks let through to a resize.
+  for (const uint64_t length : {uint64_t{1} << 62, ~uint64_t{0}}) {
+    const std::string bytes = LengthPrefixed(length);
+    {
+      BinaryReader reader(bytes);
+      std::vector<float> floats;
+      EXPECT_EQ(reader.ReadFloats(&floats).code(), StatusCode::kCorruption)
+          << length;
+      EXPECT_TRUE(floats.empty());
+    }
+    {
+      BinaryReader reader(bytes);
+      std::string text;
+      EXPECT_EQ(reader.ReadString(&text).code(), StatusCode::kCorruption)
+          << length;
+      EXPECT_TRUE(text.empty());
+    }
+  }
+}
+
+TEST(BinaryReaderTest, ReadsExactlyToTheEndAndNoFurther) {
+  BinaryWriter writer;
+  const float values[] = {1.0f, 2.0f};
+  writer.WriteFloats(values, 2);
+  writer.WriteString("ab");
+  writer.WriteFloats(values, 0);
+  BinaryReader reader(writer.buffer());
+  std::vector<float> floats;
+  std::string text;
+  ASSERT_TRUE(reader.ReadFloats(&floats).ok());
+  ASSERT_TRUE(reader.ReadString(&text).ok());
+  EXPECT_EQ(floats, (std::vector<float>{1.0f, 2.0f}));
+  EXPECT_EQ(text, "ab");
+  // An empty array reads into an empty vector (a null data() under UBSan).
+  std::vector<float> empty;
+  ASSERT_TRUE(reader.ReadFloats(&empty).ok());
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(reader.AtEnd());
+  uint8_t byte = 0;
+  EXPECT_EQ(reader.ReadU8(&byte).code(), StatusCode::kCorruption);
+
+  // One float short: a count of 3 over 8 payload bytes.
+  BinaryWriter short_writer;
+  short_writer.WriteU64(3);
+  short_writer.WriteF32(1.0f);
+  short_writer.WriteF32(2.0f);
+  BinaryReader short_reader(short_writer.buffer());
+  EXPECT_EQ(short_reader.ReadFloats(&floats).code(), StatusCode::kCorruption);
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {
