@@ -1,14 +1,19 @@
-// Microbenchmarks of the database substrate: predicate scans, exact join
-// cardinality computation (the HyPer stand-in that labels training data),
-// labelling a whole training corpus, sample bitmap evaluation and IBJS
-// probing.
+// Microbenchmarks of the database substrate: the row selection kernels,
+// predicate scans, exact join cardinality computation (the HyPer stand-in
+// that labels training data), labelling a whole training corpus, sample
+// bitmap evaluation and IBJS probing.
 
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+#include <vector>
+
 #include "est/ibjs.h"
 #include "exec/executor.h"
+#include "exec/select.h"
 #include "imdb/imdb.h"
 #include "sample/sample.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace lc {
@@ -66,6 +71,54 @@ void BM_ExactCardinality(benchmark::State& state) {
   state.counters["cardinality"] = static_cast<double>(cardinality);
 }
 BENCHMARK(BM_ExactCardinality)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
+
+// One selection kernel alone over 1M values drawn uniformly from [0, 1000),
+// block by block as the executor runs it, with `v < literal` keeping about
+// 1%, 50% or 99% of the rows. Args: backend (0 scalar, 1 AVX-512), percent
+// kept, and kernel (0 SelectRange over the block's row range, 1 FilterRows
+// over the block's full id list).
+void BM_SelectRows(benchmark::State& state) {
+  const internal::SelectKernels* kernels =
+      state.range(0) == 0 ? &internal::ScalarSelectKernels()
+                          : internal::Avx512SelectKernels();
+  if (kernels == nullptr) {
+    state.SkipWithError("no AVX-512F on this CPU or build");
+    return;
+  }
+  static const std::vector<int32_t>* values = [] {
+    Rng rng(3);
+    auto* column = new std::vector<int32_t>(1 << 20);
+    for (int32_t& value : *column) {
+      value = static_cast<int32_t>(rng.UniformInt(0, 999));
+    }
+    return column;
+  }();
+  const int32_t literal = static_cast<int32_t>(state.range(1) * 10);
+  const bool filter = state.range(2) == 1;
+  const uint32_t rows = static_cast<uint32_t>(values->size());
+  std::vector<uint32_t> selected(internal::kBlockRows);
+  int64_t kept = 0;
+  for (auto _ : state) {
+    kept = 0;
+    for (uint32_t begin = 0; begin < rows; begin += internal::kBlockRows) {
+      const uint32_t end = std::min(rows, begin + internal::kBlockRows);
+      if (filter) {
+        std::iota(selected.begin(), selected.begin() + (end - begin), begin);
+        kept += kernels->filter_rows(CompareOp::kLt, values->data(), literal,
+                                     selected.data(), end - begin);
+      } else {
+        kept += kernels->select_range(CompareOp::kLt, values->data(), literal,
+                                      begin, end, selected.data());
+      }
+    }
+    benchmark::DoNotOptimize(kept);
+  }
+  state.counters["kept_pct"] = 100.0 * static_cast<double>(kept) / rows;
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_SelectRows)
+    ->ArgNames({"avx512", "pct", "filter"})
+    ->ArgsProduct({{0, 1}, {1, 50, 99}, {0, 1}});
 
 void BM_PredicateScan(benchmark::State& state) {
   ExecFixture& fixture = ExecFixture::Get();

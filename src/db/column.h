@@ -41,7 +41,10 @@ class Column {
   }
   const std::vector<int32_t>& raw_values() const { return values_; }
 
-  /// Computes min/max/distinct/null statistics; idempotent.
+  /// Computes min/max/distinct/null statistics; idempotent. Distinct
+  /// values are counted without hashing: with a bitmap over [min, max]
+  /// when that span is at most 64 values per non-NULL row, otherwise by
+  /// sorting a copy and counting unique values.
   void Finalize();
 
   bool finalized() const { return finalized_; }

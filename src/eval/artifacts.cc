@@ -38,6 +38,11 @@ StatusOr<TrainingHistory> DeserializeHistory(const std::string& bytes) {
   LC_RETURN_IF_ERROR(reader.ReadF64(&history.total_seconds));
   uint64_t count = 0;
   LC_RETURN_IF_ERROR(reader.ReadU64(&count));
+  // Each epoch is four 8-byte fields.
+  constexpr size_t kEpochBytes = 4 * 8;
+  if (count > reader.remaining() / kEpochBytes) {
+    return Status::Corruption("training history epoch count exceeds size");
+  }
   history.epochs.resize(count);
   for (uint64_t i = 0; i < count; ++i) {
     EpochStats& stats = history.epochs[i];

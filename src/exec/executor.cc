@@ -1,74 +1,20 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <type_traits>
+#include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "db/column.h"
+#include "exec/select.h"
 #include "util/check.h"
 
 namespace lc {
 
 namespace {
 
-// Rows are selected and joined one block at a time, so the scratch stays
-// L1-sized however large the table is.
-constexpr uint32_t kBlockRows = 2048;
-
-// Branch-free Predicate::Matches: NULL never matches. The NULL test is
-// what keeps `kNullValue < literal` (and `kNullValue == INT32_MIN`) out.
-template <CompareOp kOp>
-inline uint32_t Match(int32_t value, int32_t literal) {
-  bool hit;
-  if constexpr (kOp == CompareOp::kEq) {
-    hit = value == literal;
-  } else if constexpr (kOp == CompareOp::kLt) {
-    hit = value < literal;
-  } else {
-    hit = value > literal;
-  }
-  return static_cast<uint32_t>((value != kNullValue) & hit);
-}
-
-// Writes the ids of the rows in [begin, end) that match to `rows`.
-template <CompareOp kOp>
-uint32_t SelectRange(const int32_t* values, int32_t literal, uint32_t begin,
-                     uint32_t end, uint32_t* rows) {
-  uint32_t count = 0;
-  for (uint32_t row = begin; row < end; ++row) {
-    rows[count] = row;
-    count += Match<kOp>(values[row], literal);
-  }
-  return count;
-}
-
-// Keeps the rows among `rows[0, count)` that match, in order.
-template <CompareOp kOp>
-uint32_t FilterRows(const int32_t* values, int32_t literal, uint32_t* rows,
-                    uint32_t count) {
-  uint32_t kept = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t row = rows[i];
-    rows[kept] = row;
-    kept += Match<kOp>(values[row], literal);
-  }
-  return kept;
-}
-
-// Calls `fn` with `op` as a compile-time constant, so each operator runs
-// its own branch-free loop.
-template <typename Fn>
-uint32_t WithOp(CompareOp op, Fn&& fn) {
-  switch (op) {
-    case CompareOp::kEq:
-      return fn(std::integral_constant<CompareOp, CompareOp::kEq>{});
-    case CompareOp::kLt:
-      return fn(std::integral_constant<CompareOp, CompareOp::kLt>{});
-    case CompareOp::kGt:
-      return fn(std::integral_constant<CompareOp, CompareOp::kGt>{});
-  }
-  return 0;
-}
+using internal::kBlockRows;
+using internal::SelectKernels;
 
 // Fraction of `column`'s rows that `predicate` is expected to keep, from
 // the column statistics. It only orders the predicates, so a rough value
@@ -98,7 +44,11 @@ double EstimatedSelectivity(const Column& column, const Predicate& predicate) {
 class TableFilter {
  public:
   TableFilter(const Table& table, TableId table_id,
-              const std::vector<Predicate>& predicates) {
+              const std::vector<Predicate>& predicates)
+      // The AVX-512 kernels gather with signed 32-bit row ids.
+      : kernels_(table.num_rows() <= std::numeric_limits<int32_t>::max()
+                     ? &internal::ActiveSelectKernels()
+                     : &internal::ScalarSelectKernels()) {
     terms_.reserve(predicates.size());
     for (const Predicate& predicate : predicates) {
       if (predicate.table != table_id) continue;
@@ -121,14 +71,12 @@ class TableFilter {
       return end - begin;
     }
     const Term& first = terms_.front();
-    uint32_t count = WithOp(first.op, [&](auto op) {
-      return SelectRange<op()>(first.values, first.literal, begin, end, rows);
-    });
+    uint32_t count = kernels_->select_range(first.op, first.values,
+                                            first.literal, begin, end, rows);
     for (size_t t = 1; t < terms_.size() && count > 0; ++t) {
       const Term& term = terms_[t];
-      count = WithOp(term.op, [&](auto op) {
-        return FilterRows<op()>(term.values, term.literal, rows, count);
-      });
+      count = kernels_->filter_rows(term.op, term.values, term.literal, rows,
+                                    count);
     }
     return count;
   }
@@ -140,8 +88,15 @@ class TableFilter {
     int32_t literal;
     double selectivity;
   };
+  const SelectKernels* kernels_;
   std::vector<Term> terms_;
 };
+
+// Whether a key span is worth a dense array for `entries` keys: when the
+// domain is not wildly larger than the data.
+bool DenseSpan(int64_t span, size_t entries) {
+  return span > 0 && span <= 8 * static_cast<int64_t>(entries) + 1024;
+}
 
 // A key -> count map that switches to a dense array when the key domain is
 // compact (e.g. title ids), which it almost always is for PK-FK joins.
@@ -153,9 +108,7 @@ class CountMap {
     const int64_t span =
         static_cast<int64_t>(max_key) - static_cast<int64_t>(min_key) + 1;
     sparse_counts_.clear();
-    // Dense pays off whenever the domain is not wildly larger than the data.
-    dense_ =
-        span > 0 && span <= 8 * static_cast<int64_t>(expected_entries) + 1024;
+    dense_ = DenseSpan(span, expected_entries);
     if (dense_) {
       base_ = min_key;
       dense_counts_.assign(static_cast<size_t>(span), 0);
@@ -207,6 +160,41 @@ class CountMap {
   std::unordered_map<int32_t, int64_t> sparse_counts_;
 };
 
+// The number of rows under each key of `column`, dense over
+// [min_value, max_value]: the message a leaf without predicates sends over
+// that column. Empty when the column holds no keys, is not finalized, or
+// spans too sparse a domain for a dense array.
+std::vector<int32_t> KeyDegrees(const Column& column) {
+  constexpr size_t kMaxRows = std::numeric_limits<int32_t>::max();
+  if (!column.finalized() || column.non_null_count() == 0 ||
+      column.size() > kMaxRows) {
+    return {};
+  }
+  const int32_t base = column.min_value();
+  const int64_t span = static_cast<int64_t>(column.max_value()) - base + 1;
+  if (!DenseSpan(span, column.size())) return {};
+  std::vector<int32_t> counts(static_cast<size_t>(span), 0);
+  for (const int32_t key : column.raw_values()) {
+    if (key == kNullValue) continue;
+    ++counts[static_cast<size_t>(static_cast<int64_t>(key) - base)];
+  }
+  return counts;
+}
+
+// Multiplies `weights[i]` by the degree of `keys[rows[i]]` for each
+// i < count, or sets it when `first`; CountMap::MultiplyRows over a
+// precomputed message. Keys outside the span, NULL included, count 0.
+void MultiplyByDegrees(const std::vector<int32_t>& counts, int32_t base,
+                       const int32_t* keys, const uint32_t* rows,
+                       uint32_t count, bool first, int64_t* weights) {
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint64_t index = static_cast<uint64_t>(
+        static_cast<int64_t>(keys[rows[i]]) - static_cast<int64_t>(base));
+    const int64_t found = index < counts.size() ? counts[index] : 0;
+    weights[i] = first ? found : weights[i] * found;
+  }
+}
+
 // Per-thread working memory of Cardinality/CountSelected: one block of row
 // ids and weights, and one message per query table. Nothing here outlives
 // a call logically; it is kept only so the next call skips the allocation.
@@ -223,7 +211,29 @@ Scratch& LocalScratch() {
 
 }  // namespace
 
-Executor::Executor(const Database* db) : db_(db) { LC_CHECK(db != nullptr); }
+Executor::Executor(const Database* db) : db_(db) {
+  LC_CHECK(db != nullptr);
+  const Schema& schema = db->schema();
+  degrees_.resize(static_cast<size_t>(schema.num_tables()));
+  for (TableId table = 0; table < schema.num_tables(); ++table) {
+    degrees_[static_cast<size_t>(table)].resize(
+        schema.table(table).columns.size());
+  }
+  for (int e = 0; e < schema.num_join_edges(); ++e) {
+    const JoinEdgeDef& edge = schema.join_edge(e);
+    const std::pair<TableId, int> sides[] = {
+        {edge.left_table, edge.left_column},
+        {edge.right_table, edge.right_column}};
+    for (const auto& [table, column] : sides) {
+      Degrees& degrees =
+          degrees_[static_cast<size_t>(table)][static_cast<size_t>(column)];
+      if (!degrees.counts.empty()) continue;  // Shared by several edges.
+      const Column& data = db->table(table).column(column);
+      degrees.counts = KeyDegrees(data);
+      if (!degrees.counts.empty()) degrees.base = data.min_value();
+    }
+  }
+}
 
 int64_t Executor::CountSelected(
     TableId table, const std::vector<Predicate>& predicates) const {
@@ -300,6 +310,25 @@ int64_t Executor::Cardinality(const Query& query) const {
   LC_CHECK_EQ(order.size(), query.tables.size())
       << "join graph must be connected";
 
+  // A leaf without predicates sends the precomputed degrees of its join
+  // column and is never scanned.
+  std::vector<const Degrees*> precomputed(query.tables.size(), nullptr);
+  for (const Visit& visit : order) {
+    const size_t node = static_cast<size_t>(visit.node);
+    if (visit.parent < 0 || adjacency[node].size() != 1) continue;
+    const TableId table_id = query.tables[node];
+    if (std::any_of(query.predicates.begin(), query.predicates.end(),
+                    [&](const Predicate& predicate) {
+                      return predicate.table == table_id;
+                    })) {
+      continue;
+    }
+    const int column = schema.join_edge(visit.parent_edge).ColumnOf(table_id);
+    const Degrees& degrees =
+        degrees_[static_cast<size_t>(table_id)][static_cast<size_t>(column)];
+    if (!degrees.counts.empty()) precomputed[node] = &degrees;
+  }
+
   Scratch& scratch = LocalScratch();
   if (scratch.messages.size() < query.tables.size()) {
     scratch.messages.resize(query.tables.size());
@@ -312,13 +341,16 @@ int64_t Executor::Cardinality(const Query& query) const {
   int64_t total = 0;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const Visit& visit = *it;
+    if (precomputed[static_cast<size_t>(visit.node)] != nullptr) continue;
     const TableId table_id = query.tables[static_cast<size_t>(visit.node)];
     const Table& table = db_->table(table_id);
     const TableFilter filter(table, table_id, query.predicates);
 
-    // Key columns this node matches against its children's messages.
+    // Key columns this node matches against its children's messages, each
+    // either precomputed or computed above.
     struct ChildRef {
       const int32_t* keys;
+      const Degrees* degrees;
       const CountMap* message;
     };
     std::vector<ChildRef> children;
@@ -326,9 +358,10 @@ int64_t Executor::Cardinality(const Query& query) const {
          adjacency[static_cast<size_t>(visit.node)]) {
       if (neighbor.node == visit.parent) continue;
       const JoinEdgeDef& edge = schema.join_edge(neighbor.edge);
+      const size_t child = static_cast<size_t>(neighbor.node);
       children.push_back(
           {table.column(edge.ColumnOf(table_id)).raw_values().data(),
-           &scratch.messages[static_cast<size_t>(neighbor.node)]});
+           precomputed[child], &scratch.messages[child]});
     }
 
     const bool is_root = visit.parent < 0;
@@ -352,8 +385,15 @@ int64_t Executor::Cardinality(const Query& query) const {
       const uint32_t count =
           filter.Select(begin, std::min(rows, begin + kBlockRows), selected);
       for (size_t c = 0; c < children.size(); ++c) {
-        children[c].message->MultiplyRows(children[c].keys, selected, count,
-                                          /*first=*/c == 0, weights);
+        const ChildRef& child = children[c];
+        if (child.degrees != nullptr) {
+          MultiplyByDegrees(child.degrees->counts, child.degrees->base,
+                            child.keys, selected, count, /*first=*/c == 0,
+                            weights);
+        } else {
+          child.message->MultiplyRows(child.keys, selected, count,
+                                      /*first=*/c == 0, weights);
+        }
       }
       if (is_root) {
         if (row_weights == nullptr) {

@@ -47,7 +47,11 @@ Status LoadTensor(BinaryReader* reader, Tensor* tensor) {
   for (uint64_t i = 0; i < rank; ++i) {
     LC_RETURN_IF_ERROR(reader->ReadI64(&shape[i]));
     if (shape[i] <= 0) return Status::Corruption("non-positive tensor dim");
-    expected *= shape[i];
+    // Unchecked, dims of 2^40 would wrap the product to 0 and match an
+    // empty float array.
+    if (__builtin_mul_overflow(expected, shape[i], &expected)) {
+      return Status::Corruption("tensor element count overflows");
+    }
   }
   std::vector<float> data;
   LC_RETURN_IF_ERROR(reader->ReadFloats(&data));

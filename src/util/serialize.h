@@ -55,6 +55,9 @@ class BinaryReader {
   /// True when every byte has been consumed.
   bool AtEnd() const { return offset_ == buffer_.size(); }
   size_t offset() const { return offset_; }
+  /// Bytes not yet consumed. Loaders bound a file-supplied record count by
+  /// it (over the smallest encoding of one record) before allocating.
+  size_t remaining() const { return buffer_.size() - offset_; }
 
  private:
   Status ReadBytes(void* out, size_t count);

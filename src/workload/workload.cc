@@ -123,6 +123,12 @@ StatusOr<Workload> Workload::Deserialize(const std::string& bytes) {
   workload.sample_size = sample_size;
   uint64_t count = 0;
   LC_RETURN_IF_ERROR(reader.ReadU64(&count));
+  // Each query takes at least its text's length, its cardinality and its
+  // two bitmap counts: four 8-byte fields.
+  constexpr size_t kMinQueryBytes = 4 * 8;
+  if (count > reader.remaining() / kMinQueryBytes) {
+    return Status::Corruption("workload query count exceeds file size");
+  }
   workload.queries.reserve(count);
   for (uint64_t q = 0; q < count; ++q) {
     LabeledQuery labeled;

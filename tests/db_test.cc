@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <unordered_set>
+#include <vector>
+
 #include "db/column.h"
 #include "db/database.h"
 #include "db/schema.h"
 #include "db/table.h"
+#include "util/rng.h"
 
 namespace lc {
 namespace {
@@ -94,6 +99,55 @@ TEST(ColumnTest, AllNullColumn) {
   column.Finalize();
   EXPECT_EQ(column.distinct_count(), 0);
   EXPECT_EQ(column.null_count(), 1u);
+}
+
+// Distinct counts from Finalize (a bitmap over dense spans, a sort over
+// sparse ones) against a hash-set reference.
+TEST(ColumnTest, DistinctCountMatchesHashSetReference) {
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min() + 1;
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  struct Case {
+    const char* name;
+    size_t rows;
+    double null_fraction;
+    int64_t low;
+    int64_t high;
+    std::vector<int32_t> extra;  // Appended after the random rows.
+  };
+  const Case cases[] = {
+      {"empty", 0, 0.0, 0, 0, {}},
+      {"all_null", 50, 1.0, 0, 0, {}},
+      {"single", 1, 0.0, 42, 42, {}},
+      {"dense", 5000, 0.1, -300, 900, {}},
+      // 100 values over a span of exactly 6400, then of 6401.
+      {"dense_at_64_per_row", 98, 0.0, 0, 6399, {0, 6399}},
+      {"sparse_just_past_64_per_row", 98, 0.0, 0, 6400, {0, 6400}},
+      {"sparse_wide", 3000, 0.2, -1000000000, 1000000000, {}},
+      {"extremes_only", 0, 0.0, 0, 0, {kMin, kMax, kMax, kMin}},
+      {"extremes_in_dense", 4000, 0.05, -20, 20, {kMin, kMax}},
+      {"top_of_range", 2000, 0.05, kMax - 500, kMax, {kMax}},
+      {"bottom_of_range", 2000, 0.05, kMin, kMin + 500, {kMin}},
+  };
+  Rng rng(5);
+  for (const Case& c : cases) {
+    Column column;
+    for (size_t row = 0; row < c.rows; ++row) {
+      if (rng.Bernoulli(c.null_fraction)) {
+        column.AppendNull();
+      } else {
+        column.Append(static_cast<int32_t>(rng.UniformInt(c.low, c.high)));
+      }
+    }
+    for (const int32_t value : c.extra) column.Append(value);
+    column.AppendNull();
+    column.Finalize();
+    std::unordered_set<int32_t> reference;
+    for (size_t row = 0; row < column.size(); ++row) {
+      if (!column.is_null(row)) reference.insert(column.value(row));
+    }
+    EXPECT_EQ(column.distinct_count(), static_cast<int64_t>(reference.size()))
+        << c.name;
+  }
 }
 
 TEST(ColumnTest, FinalizeIsIdempotent) {

@@ -1,6 +1,9 @@
 // Report helpers and the artifact cache.
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +158,18 @@ TEST(HistorySerializationTest, RoundTrip) {
 
 TEST(HistorySerializationTest, RejectsGarbage) {
   EXPECT_FALSE(DeserializeHistory("garbage").ok());
+}
+
+// A crafted epoch count must be Corruption, not a std::length_error out of
+// resize(). An empty history's bytes end with its 8-byte count.
+TEST(HistorySerializationTest, RejectsHugeEpochCount) {
+  for (const uint64_t count : {uint64_t{1} << 62, ~uint64_t{0}}) {
+    std::string bytes = SerializeHistory(TrainingHistory{});
+    std::memcpy(&bytes[bytes.size() - sizeof(count)], &count, sizeof(count));
+    const auto loaded = DeserializeHistory(bytes);
+    ASSERT_FALSE(loaded.ok()) << count;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << count;
+  }
 }
 
 }  // namespace

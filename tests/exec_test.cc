@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "db/column.h"
 #include "exec/index.h"
 #include "exec/query.h"
+#include "exec/select.h"
 #include "imdb/imdb.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -316,6 +321,93 @@ TEST(ExecutorTest, CountSelectedEqualsMatchesOverNullsAndExtremes) {
   }
 }
 
+// Row selection kernels against Predicate::Matches, for each backend:
+// random values with NULLs and int32 extremes, every operator, literals at
+// both ends of the range, and lengths from 0 to kBlockRows, ragged ones
+// included. Nothing may be written past the ids the caller's buffer holds.
+class SelectKernelTest : public testing::TestWithParam<const char*> {
+ protected:
+  const internal::SelectKernels* Kernels() const {
+    return std::string(GetParam()) == "avx512"
+               ? internal::Avx512SelectKernels()
+               : &internal::ScalarSelectKernels();
+  }
+};
+
+TEST_P(SelectKernelTest, MatchesPredicateReference) {
+  const internal::SelectKernels* kernels = Kernels();
+  if (kernels == nullptr) GTEST_SKIP() << "no AVX-512F on this CPU or build";
+  constexpr uint32_t kBlockRows = internal::kBlockRows;
+  constexpr uint32_t kSlack = 40;
+  constexpr uint32_t kGuardIds = 32;
+  constexpr uint32_t kGuard = 0xdeadbeef;
+  const Database db = WideNullableTable(kBlockRows + kSlack, 23);
+  const Column& column = db.table(0).column(1);
+  ASSERT_GT(column.null_count(), 0u);
+  const int32_t* values = column.raw_values().data();
+  const int32_t literals[] = {std::numeric_limits<int32_t>::min() + 1,
+                              std::numeric_limits<int32_t>::max(), 0, 7, -50};
+  std::vector<uint32_t> lengths;
+  for (uint32_t length = 0; length <= 80; ++length) lengths.push_back(length);
+  for (const uint32_t length :
+       {255u, 256u, 257u, 1000u, kBlockRows - 17, kBlockRows - 1, kBlockRows}) {
+    lengths.push_back(length);
+  }
+
+  Rng rng(41);
+  for (const uint32_t length : lengths) {
+    const uint32_t begin = static_cast<uint32_t>(rng.UniformInt(0, kSlack));
+    // Random (repeating, unordered) ids for FilterRows.
+    std::vector<uint32_t> input(length);
+    for (uint32_t& row : input) {
+      row = static_cast<uint32_t>(rng.UniformInt(0, kBlockRows + kSlack - 1));
+    }
+    for (int op = 0; op < kNumCompareOps; ++op) {
+      for (const int32_t literal : literals) {
+        const Predicate predicate{0, 1, static_cast<CompareOp>(op), literal};
+        const std::string where = std::to_string(length) + " " +
+                                  std::to_string(op) + " " +
+                                  std::to_string(literal);
+
+        std::vector<uint32_t> expected;
+        for (uint32_t row = begin; row < begin + length; ++row) {
+          if (predicate.Matches(values[row])) expected.push_back(row);
+        }
+        std::vector<uint32_t> rows(length + kGuardIds, kGuard);
+        const uint32_t count = kernels->select_range(
+            predicate.op, values, literal, begin, begin + length, rows.data());
+        ASSERT_EQ(count, expected.size()) << where;
+        EXPECT_TRUE(std::equal(expected.begin(), expected.end(), rows.begin()))
+            << where;
+        EXPECT_TRUE(std::all_of(rows.begin() + length, rows.end(),
+                                [](uint32_t id) { return id == kGuard; }))
+            << where;
+
+        expected.clear();
+        for (const uint32_t row : input) {
+          if (predicate.Matches(values[row])) expected.push_back(row);
+        }
+        rows.assign(input.begin(), input.end());
+        rows.resize(length + kGuardIds, kGuard);
+        const uint32_t kept = kernels->filter_rows(
+            predicate.op, values, literal, rows.data(), length);
+        ASSERT_EQ(kept, expected.size()) << where;
+        EXPECT_TRUE(std::equal(expected.begin(), expected.end(), rows.begin()))
+            << where;
+        EXPECT_TRUE(std::all_of(rows.begin() + length, rows.end(),
+                                [](uint32_t id) { return id == kGuard; }))
+            << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SelectKernelTest,
+                         testing::Values("scalar", "avx512"),
+                         [](const testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
 TEST(ExecutorTest, MatchesBruteForceOnTinyDatabase) {
   const Database db = TinyDatabase();
   const Executor executor(&db);
@@ -433,6 +525,119 @@ TEST_P(ExecutorPropertyTest, NullableColumnsEqualBruteForce) {
       EXPECT_EQ(executor.Cardinality(query), BruteForceCardinality(db, query))
           << query.Serialize();
     }
+  }
+}
+
+// Queries whose leaves carry no predicates, which the executor answers
+// from precomputed degree messages instead of scanning them. The schema is
+// a hub a with leaves d and e and a chain a <- b <- c, so c is a leaf under
+// the inner node b. The key columns hold NULLs, and e joins a over a
+// sparse key span, which is too wide to precompute and takes the scan.
+TEST_P(ExecutorPropertyTest, BareLeavesEqualBruteForce) {
+  Schema schema;
+  const TableId a = schema.AddTable(TableDef{
+      "a", {{"id", true}, {"code", true}, {"x", false}}, /*primary_key=*/0});
+  const TableId b = schema.AddTable(TableDef{
+      "b", {{"id", true}, {"a_id", true}, {"y", false}}, /*primary_key=*/0});
+  const TableId c = schema.AddTable(TableDef{
+      "c", {{"id", true}, {"b_id", true}, {"z", false}}, /*primary_key=*/0});
+  const TableId d = schema.AddTable(TableDef{
+      "d", {{"id", true}, {"a_id", true}, {"w", false}}, /*primary_key=*/0});
+  const TableId e = schema.AddTable(TableDef{
+      "e", {{"id", true}, {"a_code", true}, {"v", false}}, /*primary_key=*/0});
+  schema.AddJoinEdge(a, "id", b, "a_id");      // Edge 0.
+  schema.AddJoinEdge(b, "id", c, "b_id");      // Edge 1.
+  schema.AddJoinEdge(a, "id", d, "a_id");      // Edge 2.
+  schema.AddJoinEdge(a, "code", e, "a_code");  // Edge 3.
+  Database db(std::move(schema));
+  constexpr int32_t kCodeStride = 1000003;
+  Rng rng(900 + static_cast<uint64_t>(GetParam()));
+  const auto value = [&](Column& column) {
+    if (rng.Bernoulli(0.1)) {
+      column.AppendNull();
+    } else {
+      column.Append(static_cast<int32_t>(rng.UniformInt(0, 9)));
+    }
+  };
+  const auto key = [&](Column& column, int32_t range, int32_t stride) {
+    if (rng.Bernoulli(0.1)) {
+      column.AppendNull();
+    } else {
+      column.Append(static_cast<int32_t>(rng.UniformInt(0, range - 1)) *
+                    stride);
+    }
+  };
+  constexpr int32_t kRows[] = {20, 300, 2500, 90, 60};
+  for (int32_t row = 0; row < kRows[a]; ++row) {
+    db.table(a).column(0).Append(row);
+    db.table(a).column(1).Append(row * kCodeStride);
+    value(db.table(a).column(2));
+  }
+  const struct {
+    TableId table;
+    int32_t parent_rows;
+    int32_t stride;
+  } children[] = {{b, kRows[a], 1}, {c, kRows[b], 1}, {d, kRows[a], 1},
+                  {e, kRows[a], kCodeStride}};
+  for (const auto& child : children) {
+    Table& table = db.table(child.table);
+    for (int32_t row = 0; row < kRows[child.table]; ++row) {
+      table.column(0).Append(row);
+      key(table.column(1), child.parent_rows, child.stride);
+      value(table.column(2));
+    }
+  }
+  db.Finalize();
+  const Executor executor(&db);
+
+  const auto bare_except = [](std::vector<TableId> tables,
+                              std::vector<int> joins,
+                              std::vector<TableId> filtered) {
+    Query query;
+    query.tables = std::move(tables);
+    query.joins = std::move(joins);
+    for (const TableId table : filtered) {
+      query.predicates.push_back({table, 2, CompareOp::kLt, 6});
+    }
+    return query;
+  };
+  std::vector<Query> queries = {
+      bare_except({a, b, c, d, e}, {0, 1, 2, 3}, {}),   // All bare.
+      bare_except({a, b, c, d, e}, {0, 1, 2, 3}, {b}),  // c under b.
+      bare_except({a, b, c}, {0, 1}, {a, b}),           // c under b.
+      bare_except({a, d, e}, {2, 3}, {d, e}),           // Bare hub.
+      bare_except({a, b, d}, {0, 2}, {}),               // Bare hub.
+      bare_except({b, c}, {1}, {b}),                    // Root b.
+      bare_except({b, c}, {1}, {}),
+      bare_except({a, d}, {2}, {a}),
+      bare_except({a, e}, {3}, {a}),  // Sparse span: scanned.
+  };
+  // Random connected subtrees: c may only join through b.
+  for (int trial = 0; trial < 12; ++trial) {
+    Query query;
+    query.tables = {a};
+    const std::pair<int, TableId> edges[] = {{0, b}, {2, d}, {3, e}};
+    for (const auto& [edge, table] : edges) {
+      if (!rng.Bernoulli(0.6)) continue;
+      query.joins.push_back(edge);
+      query.tables.push_back(table);
+      if (table == b && rng.Bernoulli(0.6)) {
+        query.joins.push_back(1);
+        query.tables.push_back(c);
+      }
+    }
+    for (const TableId table : query.tables) {
+      if (rng.Bernoulli(0.5)) continue;  // Bare.
+      query.predicates.push_back(
+          {table, 2, static_cast<CompareOp>(rng.UniformInt(0, 2)),
+           static_cast<int32_t>(rng.UniformInt(0, 9))});
+    }
+    queries.push_back(std::move(query));
+  }
+  for (Query& query : queries) {
+    query.Canonicalize();
+    EXPECT_EQ(executor.Cardinality(query), BruteForceCardinality(db, query))
+        << query.Serialize();
   }
 }
 

@@ -3,6 +3,8 @@
 // a small regression task, and save/load round trips.
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -159,6 +161,25 @@ TEST(SerializationTest, TensorRejectsCorruptBuffer) {
   BinaryReader reader(truncated);
   Tensor loaded;
   EXPECT_FALSE(LoadTensor(&reader, &loaded).ok());
+}
+
+// Dims whose product wraps int64 (2^40 cubed is 0 modulo 2^64) must not
+// pass for an empty float array.
+TEST(SerializationTest, TensorRejectsOverflowingDims) {
+  const int64_t dims[][3] = {{int64_t{1} << 40, int64_t{1} << 40,
+                              int64_t{1} << 40},
+                             {int64_t{1} << 32, int64_t{1} << 32, 1},
+                             {std::numeric_limits<int64_t>::max(), 2, 1}};
+  for (const auto& shape : dims) {
+    BinaryWriter writer;
+    writer.WriteU64(3);
+    for (const int64_t dim : shape) writer.WriteI64(dim);
+    writer.WriteFloats(nullptr, 0);
+    BinaryReader reader(writer.buffer());
+    Tensor loaded;
+    EXPECT_EQ(LoadTensor(&reader, &loaded).code(), StatusCode::kCorruption)
+        << shape[0] << " " << shape[1] << " " << shape[2];
+  }
 }
 
 TEST(SerializationTest, LinearRoundTrip) {

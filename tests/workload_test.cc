@@ -3,7 +3,10 @@
 
 #include "workload/workload.h"
 
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -120,6 +123,20 @@ TEST(WorkloadTest, DeserializeRejectsCorruption) {
   bytes = workload.Serialize();
   bytes += "junk";
   EXPECT_FALSE(Workload::Deserialize(bytes).ok());
+}
+
+// A crafted query count must be Corruption, not a std::length_error out of
+// reserve(). An empty workload's bytes end with its 8-byte count.
+TEST(WorkloadTest, DeserializeRejectsHugeQueryCount) {
+  Workload workload;
+  workload.name = "x";
+  for (const uint64_t count : {uint64_t{1} << 62, ~uint64_t{0}}) {
+    std::string bytes = workload.Serialize();
+    std::memcpy(&bytes[bytes.size() - sizeof(count)], &count, sizeof(count));
+    const auto loaded = Workload::Deserialize(bytes);
+    ASSERT_FALSE(loaded.ok()) << count;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << count;
+  }
 }
 
 TEST(WorkloadTest, FileRoundTrip) {
