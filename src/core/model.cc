@@ -10,6 +10,12 @@ namespace lc {
 namespace {
 constexpr uint32_t kModelMagic = 0x4c434d4e;  // "LCMN"
 constexpr uint32_t kModelVersion = 1;
+
+bool HasShape(const TwoLayerMlp& mlp, int64_t in, int64_t hidden,
+              int64_t out, OutputActivation activation) {
+  return mlp.in_features() == in && mlp.hidden_units() == hidden &&
+         mlp.out_features() == out && mlp.activation() == activation;
+}
 }  // namespace
 
 MscnModel::MscnModel(const FeatureDims& dims, const MscnConfig& config,
@@ -143,11 +149,19 @@ StatusOr<MscnModel> MscnModel::FromBytes(const std::string& bytes) {
   LC_RETURN_IF_ERROR(model.predicate_module_.Load(&reader));
   LC_RETURN_IF_ERROR(model.output_mlp_.Load(&reader));
   if (!reader.AtEnd()) return Status::Corruption("trailing model bytes");
-  if (model.table_module_.in_features() != model.dims_.table_features ||
-      model.join_module_.in_features() != model.dims_.join_features ||
-      model.predicate_module_.in_features() !=
-          model.dims_.predicate_features) {
+  // Each module must have the shape the constructor gives it: a set module
+  // of another width, or an output MLP spliced from another model, would
+  // load fine and abort in the first forward pass.
+  const int64_t h = model.config_.hidden_units;
+  const OutputActivation relu = OutputActivation::kRelu;
+  if (!HasShape(model.table_module_, model.dims_.table_features, h, h, relu) ||
+      !HasShape(model.join_module_, model.dims_.join_features, h, h, relu) ||
+      !HasShape(model.predicate_module_, model.dims_.predicate_features, h, h,
+                relu)) {
     return Status::Corruption("model weights do not match dims");
+  }
+  if (!HasShape(model.output_mlp_, 3 * h, h, 1, OutputActivation::kSigmoid)) {
+    return Status::Corruption("output MLP does not match the set modules");
   }
   return model;
 }

@@ -51,6 +51,9 @@ void TargetNormalizer::Save(BinaryWriter* writer) const {
 Status TargetNormalizer::Load(BinaryReader* reader) {
   LC_RETURN_IF_ERROR(reader->ReadF64(&min_log_));
   LC_RETURN_IF_ERROR(reader->ReadF64(&max_log_));
+  if (!std::isfinite(min_log_) || !std::isfinite(max_log_)) {
+    return Status::Corruption("normalizer bounds not finite");
+  }
   if (!(min_log_ < max_log_)) {
     return Status::Corruption("normalizer bounds out of order");
   }

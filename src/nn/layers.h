@@ -73,15 +73,11 @@ class TwoLayerMlp {
   Tape::NodeId Apply(Tape* tape, Tape::NodeId x, bool sparse_input = false);
 
   int64_t in_features() const;
+  int64_t hidden_units() const { return first_.out_features(); }
   int64_t out_features() const;
+  OutputActivation activation() const { return activation_; }
 
   std::vector<Parameter*> parameters();
-
-  /// Read access to the individual layers; the quantized serving path
-  /// (core/quantized_model.h) snapshots their weights at publication time.
-  const Linear& first() const { return first_; }
-  const Linear& second() const { return second_; }
-  OutputActivation activation() const { return activation_; }
 
   size_t ByteSize() const;
   void Save(BinaryWriter* writer) const;

@@ -28,6 +28,11 @@
 // under overload the server sheds load with bounded latency rather than
 // growing an unbounded backlog.
 //
+// Model updates: the published model is an immutable fp32 snapshot. ADMIN
+// RETRAIN runs the retrain hook, which trains a copy off to the side and
+// publishes it with MscnEstimator::SwapModel (copy-train-swap, the one
+// retrain discipline); lanes and cache probes never wait on it.
+//
 // Shutdown: Close() on the queue stops admission; lanes drain every
 // already-accepted request before exiting, so a request either gets its
 // estimate or a typed rejection — never a silently dropped future.
@@ -103,15 +108,10 @@ struct Stats {
   uint64_t retrains_started = 0;    // Background retrains kicked off.
   uint64_t retrains_failed = 0;     // Retrain hook returned non-OK.
   uint64_t model_swaps = 0;         // Completed copy-train-swap updates.
-  // Stale cache entries retired lazily by lookups after a swap or
-  // in-place retrain (the estimator cache's invalidation counter — the
-  // observable proof that invalidation is per-entry, not a global wipe).
+  // Stale cache entries retired lazily by lookups after a swap (the
+  // estimator cache's invalidation counter — the observable proof that
+  // invalidation is per-entry, not a global wipe).
   uint64_t stale_retirements = 0;
-  // Int8 serving-path publication outcomes (the estimator's quant
-  // counters, populated only when LC_NN_QUANT=int8): snapshots published
-  // at swap time vs. publications refused by the q-error gate.
-  uint64_t quantized_swaps = 0;
-  uint64_t quant_fallbacks = 0;
   RunningStat batch_size;           // Requests per model batch.
   RunningStat queue_wait_us;        // Admission → lane pop.
   RunningStat service_latency_us;   // Admission → reply (lane-served only).
@@ -176,12 +176,13 @@ class EstimatorServer {
   std::string FormatStatsLine();
 
   /// A background model update: train a replacement off to the side and
-  /// publish it, e.g. Trainer::TrainClone + MscnEstimator::SwapModel on
-  /// this server's estimator. Runs on a server-owned background thread —
-  /// never on a lane and never under any server lock, so serving continues
-  /// uninterrupted for the whole retrain. Return OK iff the swap was
-  /// published. At most one retrain is in flight at a time ("ADMIN
-  /// RETRAIN" answers Unavailable while one runs).
+  /// publish it — Trainer::TrainClone + MscnEstimator::SwapModel on this
+  /// server's estimator. The hook must not write the published model.
+  /// Runs on a server-owned background thread — never on a lane and never
+  /// under any server lock, so serving continues uninterrupted for the
+  /// whole retrain. Return OK iff the swap was published. At most one
+  /// retrain is in flight at a time ("ADMIN RETRAIN" answers Unavailable
+  /// while one runs).
   using RetrainFn = std::function<Status()>;
   void set_retrain_fn(RetrainFn fn) LC_EXCLUDES(admin_mu_);
   bool retrain_in_flight() const {

@@ -106,8 +106,8 @@ class LC_SCOPED_CAPABILITY ReaderMutexLock {
 
 /// RAII exclusive (writer) hold on a SharedMutex. Constructible in a
 /// `return` statement and bindable with `auto guard = ...` (guaranteed
-/// copy elision), which is how MscnEstimator::AcquireModelWriteLock hands
-/// a write hold across an API boundary without exposing the raw mutex.
+/// copy elision), so an accessor can hand a write hold across an API
+/// boundary without exposing the raw mutex.
 class LC_SCOPED_CAPABILITY WriterMutexLock {
  public:
   explicit WriterMutexLock(SharedMutex* mu) LC_ACQUIRE(mu) : mu_(mu) {

@@ -11,7 +11,9 @@
 #include "core/mscn_estimator.h"
 #include "core/trainer.h"
 #include "imdb/imdb.h"
+#include "nn/layers.h"
 #include "util/file.h"
+#include "util/serialize.h"
 #include "util/stats.h"
 #include "workload/generator.h"
 
@@ -197,6 +199,17 @@ TEST_F(TrainingTest, ModelSerializationPreservesPredictions) {
   }
 }
 
+// Serialized length of an output MLP of the given hidden width: the tail
+// of a model buffer, since the output MLP is written last.
+size_t OutputMlpBytes(int64_t hidden) {
+  Rng rng(3);
+  const TwoLayerMlp mlp(3 * hidden, hidden, 1, OutputActivation::kSigmoid,
+                        &rng);
+  BinaryWriter writer;
+  mlp.Save(&writer);
+  return writer.buffer().size();
+}
+
 TEST_F(TrainingTest, ModelRejectsCorruptFiles) {
   MscnConfig config = SmallConfig();
   const Featurizer featurizer(db_, config.variant, samples_->sample_size());
@@ -209,6 +222,39 @@ TEST_F(TrainingTest, ModelRejectsCorruptFiles) {
   bytes = model.ToBytes();
   bytes.resize(bytes.size() / 2);
   EXPECT_FALSE(MscnModel::FromBytes(bytes).ok());
+
+  // Crafted buffers whose every layer is self-consistent but which do not
+  // form an MSCN: each must be rejected as Corruption, not load and then
+  // abort in the first forward pass or estimate NaN.
+  std::vector<std::string> crafted;
+  // A hidden-8 model with a hidden-16 model's output MLP spliced in: the
+  // output MLP expects 48 pooled inputs where the set modules produce 24.
+  config.hidden_units = 8;
+  const std::string narrow =
+      MscnModel(featurizer.dims(), config, &rng).ToBytes();
+  config.hidden_units = 16;
+  const std::string wide =
+      MscnModel(featurizer.dims(), config, &rng).ToBytes();
+  ASSERT_TRUE(MscnModel::FromBytes(narrow).ok());
+  crafted.push_back(narrow.substr(0, narrow.size() - OutputMlpBytes(8)) +
+                    wide.substr(wide.size() - OutputMlpBytes(16)));
+  // Normalizer bounds of -inf/+inf: ordered, yet Denormalize(0.5) would be
+  // exp(inf - inf) = NaN. The two doubles follow magic, version, variant,
+  // hidden units, the three feature dims and the sample bit count.
+  constexpr size_t kNormalizerOffset = 4 + 4 + 1 + 8 + 3 * 8 + 8;
+  bytes = model.ToBytes();
+  double stored[2] = {0.0, 0.0};
+  std::memcpy(stored, bytes.data() + kNormalizerOffset, sizeof(stored));
+  ASSERT_EQ(stored[0], 0.0);
+  ASSERT_EQ(stored[1], 5.0);
+  const double infinite[2] = {-INFINITY, INFINITY};
+  std::memcpy(bytes.data() + kNormalizerOffset, infinite, sizeof(infinite));
+  crafted.push_back(bytes);
+  for (size_t i = 0; i < crafted.size(); ++i) {
+    const auto loaded = MscnModel::FromBytes(crafted[i]);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+        << "crafted buffer " << i;
+  }
 }
 
 TEST_F(TrainingTest, ModelRejectsHiddenUnitsOutsideInt32) {

@@ -43,7 +43,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <future>
@@ -225,10 +224,6 @@ ImdbConfig SmallImdb() {
 class ServeSocketTest : public testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // These tests assert the serve path bit-identical to EstimateAll, a
-    // property an ambient LC_NN_QUANT=int8 deliberately breaks (int8
-    // misses serve within a q-error bound instead). Stay hermetic.
-    unsetenv("LC_NN_QUANT");
     db_ = new Database(GenerateImdb(SmallImdb()));
     executor_ = new Executor(db_);
     samples_ = new SampleSet(db_, 32, 5);
@@ -479,7 +474,10 @@ TEST_F(ServeSocketTest, OversizeLineDrawsOneErrThenConnectionRecovers) {
   const std::string monster(200, 'x');
   client.SendAll(monster.substr(0, 50));
   client.SendAll(monster.substr(50));
-  client.SendAll("\n" + query->query.Serialize() + "\n");
+  std::string tail = "\n";
+  tail += query->query.Serialize();
+  tail += '\n';
+  client.SendAll(tail);
 
   const std::vector<std::string> responses = client.ReadLines(2);
   ASSERT_EQ(responses.size(), 2u);
@@ -557,7 +555,8 @@ TEST_F(ServeSocketTest, AdminVerbsOverSocketDuringLiveCopyTrainSwap) {
                          /*cache_capacity=*/0);
     after = direct.EstimateAll(pointers, 8);
   }
-  // Every response served mid-retrain belongs wholly to one revision.
+  // Every response served mid-retrain belongs wholly to one published
+  // model.
   for (size_t j = 0; j < observed.size(); ++j) {
     EXPECT_TRUE(observed[j] == before[picks[j]] ||
                 observed[j] == after[picks[j]])
