@@ -354,7 +354,6 @@ SocketLoadResult RunSocketLoad(lc::MscnEstimator* estimator,
   net_config.listen = {"unix:" + path};
   net_config.idle_timeout_ms = 0;
   net_config.stats_interval_ms = 0;
-  net_config.backend = lc::GetEnvString("LC_SERVE_EVENT_BACKEND", "");
   net_config.loops = loops;
   lc::serve::net::SocketServer net(&server, net_config);
   const lc::Status started = net.Start();

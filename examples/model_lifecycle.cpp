@@ -1,9 +1,10 @@
 // Scenario: operating MSCN like a database component — train once on an
 // immutable snapshot, serialize the model to disk, load it in a fresh
 // process (simulated here by a second model instance), and verify that the
-// loaded estimator is bit-identical. Also demonstrates the workload
-// serialization used by the artifact cache and what re-training on a
-// changed database looks like (paper section 5, "Updates").
+// loaded estimator is bit-identical. Also demonstrates workload
+// serialization (a labelled corpus saved for later retraining) and what
+// re-training on a changed database looks like (paper section 5,
+// "Updates").
 
 #include <iostream>
 
@@ -83,7 +84,7 @@ int main() {
       "(1.0 = identical)\n",
       max_divergence);
 
-  // --- Workload serialization (what the artifact cache stores). ---
+  // --- Workload serialization: a labelled corpus kept for retraining. ---
   const std::string corpus_path = "/tmp/lc_example_corpus.bin";
   if (corpus.SaveToFile(corpus_path).ok()) {
     const auto reloaded = lc::Workload::LoadFromFile(corpus_path);

@@ -1,7 +1,6 @@
 #include "core/config.h"
 
 #include "util/env.h"
-#include "util/str.h"
 
 namespace lc {
 
@@ -43,15 +42,6 @@ MscnConfig MscnConfig::FromEnv() {
   config.seed = static_cast<uint64_t>(
       GetEnvInt("LC_MSCN_SEED", static_cast<int64_t>(config.seed)));
   return config;
-}
-
-std::string MscnConfig::CacheKey() const {
-  return Format(
-      "mscn:v1:variant=%d:hidden=%d:epochs=%d:batch=%d:lr=%.5f:loss=%d:"
-      "valfrac=%.3f:seed=%llu",
-      static_cast<int>(variant), hidden_units, epochs, batch_size,
-      learning_rate, static_cast<int>(loss), validation_fraction,
-      static_cast<unsigned long long>(seed));
 }
 
 }  // namespace lc

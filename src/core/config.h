@@ -6,7 +6,6 @@
 #define LC_CORE_CONFIG_H_
 
 #include <cstdint>
-#include <string>
 
 namespace lc {
 
@@ -51,9 +50,6 @@ struct MscnConfig {
   /// Reads LC_HIDDEN_UNITS / LC_EPOCHS / LC_BATCH_SIZE / LC_LEARNING_RATE
   /// overrides onto the defaults.
   static MscnConfig FromEnv();
-
-  /// Stable fingerprint for the artifact cache.
-  std::string CacheKey() const;
 };
 
 }  // namespace lc

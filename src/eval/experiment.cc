@@ -26,26 +26,15 @@ ExperimentConfig ExperimentConfig::FromEnv() {
   return config;
 }
 
-std::string ExperimentConfig::CacheKeyBase() const {
-  return Format(
-      "%s|samples=%zu,seed=%llu|train=%zu@%llu|synth=%zu@%llu|scale=%zu@%llu",
-      imdb.CacheKey().c_str(), sample_size,
-      static_cast<unsigned long long>(sample_seed), train_queries,
-      static_cast<unsigned long long>(train_seed), synthetic_queries,
-      static_cast<unsigned long long>(synthetic_seed),
-      scale_queries_per_join, static_cast<unsigned long long>(scale_seed));
-}
-
 Experiment::Experiment(ExperimentConfig config)
     : config_(config),
       db_(GenerateImdb(config.imdb)),
       executor_(&db_),
-      samples_(&db_, config.sample_size, config.sample_seed),
-      cache_() {}
+      samples_(&db_, config.sample_size, config.sample_seed) {}
 
 Workload Experiment::BuildTraining() {
   LC_LOG(INFO) << "labelling training corpus (" << config_.train_queries
-               << " queries; one-time, cached)...";
+               << " queries)...";
   WallTimer timer;
   GeneratorConfig generator_config;
   generator_config.seed = config_.train_seed;
@@ -58,7 +47,7 @@ Workload Experiment::BuildTraining() {
 
 Workload Experiment::BuildSynthetic() {
   LC_LOG(INFO) << "labelling synthetic workload ("
-               << config_.synthetic_queries << " queries; cached)...";
+               << config_.synthetic_queries << " queries)...";
   GeneratorConfig generator_config;
   generator_config.seed = config_.synthetic_seed;
   QueryGenerator generator(&db_, generator_config);
@@ -67,7 +56,7 @@ Workload Experiment::BuildSynthetic() {
 }
 
 Workload Experiment::BuildScale() {
-  LC_LOG(INFO) << "labelling scale workload (cached)...";
+  LC_LOG(INFO) << "labelling scale workload...";
   Workload workload;
   workload.name = "scale";
   workload.sample_size = samples_.sample_size();
@@ -95,7 +84,7 @@ Workload Experiment::BuildScale() {
 }
 
 Workload Experiment::BuildJobLight() {
-  LC_LOG(INFO) << "labelling JOB-light (cached)...";
+  LC_LOG(INFO) << "labelling JOB-light...";
   Workload workload;
   workload.name = "JOB-light";
   workload.sample_size = samples_.sample_size();
@@ -109,8 +98,8 @@ Workload Experiment::BuildJobLight() {
 }
 
 void Experiment::PrefetchWorkloads() {
-  // Each task touches only its own optional<Workload> member and its own
-  // cache file; db_/executor_/samples_ are read-only after construction.
+  // Each task touches only its own optional<Workload> member;
+  // db_/executor_/samples_ are read-only after construction.
   ParallelInvoke(ThreadPool::Global(),
                  {[this] { TrainingWorkload(); },
                   [this] { SyntheticWorkload(); },
@@ -119,34 +108,22 @@ void Experiment::PrefetchWorkloads() {
 }
 
 const Workload& Experiment::TrainingWorkload() {
-  if (!training_.has_value()) {
-    training_ = cache_.GetWorkload(
-        KeyFor("training"), [this] { return BuildTraining(); });
-  }
+  if (!training_.has_value()) training_ = BuildTraining();
   return *training_;
 }
 
 const Workload& Experiment::SyntheticWorkload() {
-  if (!synthetic_.has_value()) {
-    synthetic_ = cache_.GetWorkload(
-        KeyFor("synthetic"), [this] { return BuildSynthetic(); });
-  }
+  if (!synthetic_.has_value()) synthetic_ = BuildSynthetic();
   return *synthetic_;
 }
 
 const Workload& Experiment::ScaleWorkload() {
-  if (!scale_.has_value()) {
-    scale_ = cache_.GetWorkload(KeyFor("scale"),
-                                [this] { return BuildScale(); });
-  }
+  if (!scale_.has_value()) scale_ = BuildScale();
   return *scale_;
 }
 
 const Workload& Experiment::JobLightWorkload() {
-  if (!job_light_.has_value()) {
-    job_light_ = cache_.GetWorkload(KeyFor("job-light"),
-                                    [this] { return BuildJobLight(); });
-  }
+  if (!job_light_.has_value()) job_light_ = BuildJobLight();
   return *job_light_;
 }
 
@@ -163,27 +140,19 @@ const Featurizer& Experiment::FeaturizerFor(FeatureVariant variant) {
 
 MscnModel Experiment::TrainWithConfig(const MscnConfig& config,
                                       TrainingHistory* history) {
-  const std::string key =
-      KeyFor("model|" + config.CacheKey());
-  return cache_.GetModel(
-      key,
-      [this, &config](TrainingHistory* fresh_history) {
-        const Workload& corpus = TrainingWorkload();
-        const Featurizer& featurizer = FeaturizerFor(config.variant);
-        Trainer trainer(&featurizer, config);
-        const TrainValSplit split = SplitWorkload(
-            corpus, config.validation_fraction, config.seed);
-        LC_LOG(INFO) << "training MSCN (" << FeatureVariantName(config.variant)
-                     << ", " << LossKindName(config.loss) << ", d="
-                     << config.hidden_units << ", epochs=" << config.epochs
-                     << "; one-time, cached)...";
-        WallTimer timer;
-        MscnModel model =
-            trainer.Train(split.train, split.validation, fresh_history);
-        LC_LOG(INFO) << "trained in " << HumanSeconds(timer.Seconds());
-        return model;
-      },
-      history);
+  const Workload& corpus = TrainingWorkload();
+  const Featurizer& featurizer = FeaturizerFor(config.variant);
+  Trainer trainer(&featurizer, config);
+  const TrainValSplit split =
+      SplitWorkload(corpus, config.validation_fraction, config.seed);
+  LC_LOG(INFO) << "training MSCN (" << FeatureVariantName(config.variant)
+               << ", " << LossKindName(config.loss) << ", d="
+               << config.hidden_units << ", epochs=" << config.epochs
+               << ")...";
+  WallTimer timer;
+  MscnModel model = trainer.Train(split.train, split.validation, history);
+  LC_LOG(INFO) << "trained in " << HumanSeconds(timer.Seconds());
+  return model;
 }
 
 MscnModel& Experiment::Model(FeatureVariant variant,
@@ -250,11 +219,6 @@ void Experiment::PrintSetup(std::ostream& os) {
      << "(paper scale: 2.5M titles IMDb, 1000 samples, 100k training "
         "queries, d=256, 100 epochs; override with LC_TITLES, "
         "LC_SAMPLE_SIZE, LC_TRAIN_QUERIES, LC_HIDDEN_UNITS, LC_EPOCHS)\n";
-}
-
-// Private helper defined out of line to keep the header clean.
-std::string Experiment::KeyFor(const std::string& suffix) {
-  return config_.CacheKeyBase() + "|" + suffix;
 }
 
 }  // namespace lc

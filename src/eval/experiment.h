@@ -1,9 +1,12 @@
 // The shared experiment context behind every bench binary: one synthetic
 // IMDb database, one shared sample set, the four workloads of the paper's
-// section 4 (training corpus, synthetic, scale, JOB-light) and cached
-// trained MSCN variants. All sizes are environment-tunable; the defaults are
-// scaled for a single CPU core (see docs/ARCHITECTURE.md, "Design deviations
-// from the paper", for the mapping to the paper's sizes).
+// section 4 (training corpus, synthetic, scale, JOB-light) and the trained
+// MSCN variants. Everything is built from scratch by the code that links
+// this harness, once per process: nothing is read back from disk, so every
+// number a bench prints comes from the code under test. All sizes are
+// environment-tunable; the defaults are scaled for a single CPU core (see
+// docs/ARCHITECTURE.md, "Design deviations from the paper", for the mapping
+// to the paper's sizes).
 
 #ifndef LC_EVAL_EXPERIMENT_H_
 #define LC_EVAL_EXPERIMENT_H_
@@ -12,14 +15,12 @@
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <string>
 
 #include "core/mscn_estimator.h"
 #include "core/trainer.h"
 #include "est/ibjs.h"
 #include "est/postgres.h"
 #include "est/random_sampling.h"
-#include "eval/artifacts.h"
 #include "imdb/imdb.h"
 #include "workload/generator.h"
 
@@ -41,12 +42,10 @@ struct ExperimentConfig {
   /// LC_TRAIN_QUERIES, LC_SYNTHETIC_QUERIES, LC_SAMPLE_SIZE, LC_EPOCHS,
   /// LC_HIDDEN_UNITS, ...).
   static ExperimentConfig FromEnv();
-
-  /// Fingerprint shared by all artifacts of this configuration.
-  std::string CacheKeyBase() const;
 };
 
-/// Lazily materializes every experiment ingredient exactly once.
+/// Lazily materializes every experiment ingredient at most once per
+/// instance, so one binary can print several tables from one training.
 class Experiment {
  public:
   explicit Experiment(ExperimentConfig config = ExperimentConfig::FromEnv());
@@ -58,12 +57,11 @@ class Experiment {
 
   /// Materializes all four workloads, building the missing ones
   /// concurrently across the process pool (each build is independent:
-  /// distinct generator seeds, distinct cache files, a read-only database
-  /// and executor). Idempotent; the individual accessors below return the
+  /// distinct generator seeds, a read-only database and executor). Idempotent; the individual accessors below return the
   /// same objects afterwards.
   void PrefetchWorkloads();
 
-  /// The labelled training corpus (0-2 joins, section 3.3), cached on disk.
+  /// The labelled training corpus (0-2 joins, section 3.3).
   const Workload& TrainingWorkload();
   /// The synthetic evaluation workload (same generator, different seed).
   const Workload& SyntheticWorkload();
@@ -72,13 +70,13 @@ class Experiment {
   /// The JOB-light analogue (70 fixed queries).
   const Workload& JobLightWorkload();
 
-  /// The trained model for a feature variant (cached); `history` optionally
-  /// receives its training curve.
+  /// The trained model for a feature variant (trained on first use);
+  /// `history` optionally receives its training curve.
   MscnModel& Model(FeatureVariant variant,
                    TrainingHistory* history = nullptr);
 
-  /// Trains a model with explicit config overrides (hyperparameter grid,
-  /// loss ablations); cached under the full config key.
+  /// Trains a fresh model with explicit config overrides (hyperparameter
+  /// grid, loss ablations); not memoized.
   MscnModel TrainWithConfig(const MscnConfig& config,
                             TrainingHistory* history = nullptr);
 
@@ -89,14 +87,13 @@ class Experiment {
   PostgresEstimator& Postgres();
   RandomSamplingEstimator& RandomSampling();
   IbjsEstimator& Ibjs();
-  /// MSCN estimator over the cached model of a variant.
+  /// MSCN estimator over the trained model of a variant.
   MscnEstimator& Mscn(FeatureVariant variant = FeatureVariant::kBitmaps);
 
   /// Prints the run configuration header every bench emits.
   void PrintSetup(std::ostream& os);
 
  private:
-  std::string KeyFor(const std::string& suffix);
   Workload BuildTraining();
   Workload BuildSynthetic();
   Workload BuildScale();
@@ -106,7 +103,6 @@ class Experiment {
   Database db_;
   Executor executor_;
   SampleSet samples_;
-  ArtifactCache cache_;
 
   std::optional<Workload> training_;
   std::optional<Workload> synthetic_;

@@ -6,7 +6,6 @@
 #include "util/check.h"
 #include "util/env.h"
 #include "util/rng.h"
-#include "util/str.h"
 
 namespace lc {
 
@@ -72,16 +71,6 @@ ImdbConfig ImdbConfig::FromEnv() {
   config.num_keywords =
       std::max<int32_t>(500, static_cast<int32_t>(8000 * scale));
   return config;
-}
-
-std::string ImdbConfig::CacheKey() const {
-  return Format(
-      "imdb:v2:seed=%llu:titles=%d:companies=%d:persons=%d:keywords=%d:"
-      "infotypes=%d:fanout=%.3f,%.3f,%.3f,%.3f,%.3f:zipf=%.3f:corr=%.3f",
-      static_cast<unsigned long long>(seed), num_titles, num_companies,
-      num_persons, num_keywords, num_info_types, companies_per_title,
-      cast_per_title, info_per_title, info_idx_per_title, keywords_per_title,
-      zipf_skew, correlation_strength);
 }
 
 Schema MakeImdbSchema() {

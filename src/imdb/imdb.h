@@ -22,7 +22,6 @@
 #define LC_IMDB_IMDB_H_
 
 #include <cstdint>
-#include <string>
 
 #include "db/database.h"
 
@@ -54,9 +53,6 @@ struct ImdbConfig {
 
   /// Reads LC_SEED / LC_TITLES / LC_CORRELATION overrides.
   static ImdbConfig FromEnv();
-
-  /// Stable fingerprint text used as an artifact-cache key component.
-  std::string CacheKey() const;
 };
 
 /// Column indices of the IMDb-like schema, resolved once for readability.

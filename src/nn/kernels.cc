@@ -220,7 +220,7 @@ ActiveKernels ResolveFromEnv() {
   if (pick == "avx512") {
     LC_CHECK(avx512 != nullptr)
         << "LC_NN_BACKEND=avx512 but AVX-512 kernels are unavailable "
-           "(not compiled in, or the CPU lacks AVX512F/AVX512BW)";
+           "(not compiled in, or the CPU lacks AVX512F)";
     return {avx512, KernelBackend::kAvx512};
   }
   // "auto" (and anything unrecognized): best available.
@@ -272,8 +272,7 @@ const KernelOps* Avx2KernelOps() {
 
 const KernelOps* Avx512KernelOps() {
 #if defined(LC_NN_KERNELS_AVX512)
-  static const KernelOps* ops = (__builtin_cpu_supports("avx512f") &&
-                                 __builtin_cpu_supports("avx512bw"))
+  static const KernelOps* ops = __builtin_cpu_supports("avx512f")
                                     ? internal::Avx512KernelOpsImpl()
                                     : nullptr;
   return ops;

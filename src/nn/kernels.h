@@ -8,9 +8,9 @@
 //   avx2    AVX2+FMA, compiled only where the toolchain supports
 //           -mavx2 -mfma (see src/nn/CMakeLists.txt) and selected at
 //           runtime only when cpuid reports both features.
-//   avx512  AVX-512 (F+BW), compiled per-file with -mavx512f -mavx512bw
-//           and selected at runtime only when cpuid reports both; 16-lane
-//           register-tiled variants of the same kernels.
+//   avx512  AVX-512F, compiled per-file with -mavx512f and selected at
+//           runtime only when cpuid reports it; 16-lane register-tiled
+//           variants of the same kernels.
 //
 // The active table is resolved once, on first use: the best available
 // backend (avx512 > avx2 > scalar), overridable with
@@ -116,8 +116,7 @@ const KernelOps& ScalarKernelOps();
 /// AVX2+FMA implementation, or null when the build or the CPU lacks it.
 const KernelOps* Avx2KernelOps();
 
-/// AVX-512 (F+BW) implementation, or null when the build or the CPU
-/// lacks it.
+/// AVX-512F implementation, or null when the build or the CPU lacks it.
 const KernelOps* Avx512KernelOps();
 
 /// Forces the active backend (tests / benchmarks). LC_CHECK-fails if the

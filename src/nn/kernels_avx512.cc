@@ -1,5 +1,5 @@
-// AVX-512 kernels (F+BW). This translation unit is compiled with
-// -mavx512f -mavx512bw (see src/nn/CMakeLists.txt) and must only be
+// AVX-512 kernels (foundation subset only). This translation unit is
+// compiled with -mavx512f (see src/nn/CMakeLists.txt) and must only be
 // *called* after a runtime cpuid check — Avx512KernelOps() in kernels.cc
 // guards that.
 //

@@ -13,11 +13,10 @@
 // leans on that to prove every handed-off fd is registered before its
 // loop's drain snapshot is taken.
 //
-// The readiness backend is pluggable: epoll(7) on Linux (the default) and a
-// portable poll(2) implementation, selected by LC_SERVE_EVENT_BACKEND. Both
-// are level-triggered, so a handler that leaves bytes unread simply gets
-// called again — the write-backpressure "pause reads" state machine in
-// Connection relies on this.
+// Readiness comes from a level-triggered epoll(7) instance that the loop
+// owns (the transport is Linux-only), so a handler that leaves bytes unread
+// simply gets called again — the write-backpressure "pause reads" state
+// machine in Connection relies on this.
 
 #ifndef LC_SERVE_NET_EVENT_LOOP_H_
 #define LC_SERVE_NET_EVENT_LOOP_H_
@@ -26,9 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -41,7 +38,7 @@ namespace lc {
 namespace serve {
 namespace net {
 
-/// One readiness report from Poller::Wait.
+/// One readiness report from epoll_wait, handed to the fd's handler.
 struct PollEvent {
   int fd = -1;
   bool readable = false;
@@ -51,30 +48,9 @@ struct PollEvent {
   bool error = false;
 };
 
-/// Level-triggered readiness backend (epoll or poll).
-class Poller {
- public:
-  virtual ~Poller() = default;
-
-  /// "epoll" (Linux only) or "poll"; any other name falls back to the
-  /// platform default ("epoll" on Linux, "poll" elsewhere).
-  static std::unique_ptr<Poller> Create(const std::string& backend);
-
-  virtual Status Add(int fd, bool want_read, bool want_write) = 0;
-  virtual Status Update(int fd, bool want_read, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
-
-  /// Blocks up to `timeout_ms` (-1 = forever, 0 = poll) and appends every
-  /// ready fd to `*events`. Returns the number of ready fds (0 on timeout);
-  /// EINTR is retried internally.
-  virtual int Wait(int timeout_ms, std::vector<PollEvent>* events) = 0;
-
-  virtual const char* name() const = 0;
-};
-
 class EventLoop {
  public:
-  explicit EventLoop(std::unique_ptr<Poller> poller);
+  EventLoop();
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -82,7 +58,7 @@ class EventLoop {
 
   using FdHandler = std::function<void(const PollEvent&)>;
 
-  /// Registers `fd` with the poller; `handler` runs on the loop thread for
+  /// Registers `fd` with epoll; `handler` runs on the loop thread for
   /// every readiness report. Loop-thread only (or before Run()).
   Status Watch(int fd, bool want_read, bool want_write, FdHandler handler);
   /// Changes the interest set of a watched fd. Loop-thread only.
@@ -118,8 +94,6 @@ class EventLoop {
   /// compile it down to one relaxed atomic load.
   void AssertOnLoopThread() const;
 
-  Poller* poller() { return poller_.get(); }
-
  private:
   struct Timer {
     std::chrono::steady_clock::time_point when;
@@ -130,12 +104,13 @@ class EventLoop {
     }
   };
 
+  Status Control(int op, int fd, bool want_read, bool want_write);
   void DrainWakeupPipe();
   void RunPostedTasks();
   int NextTimerTimeoutMs() const;
   void RunDueTimers();
 
-  std::unique_ptr<Poller> poller_;
+  int epoll_fd_ = -1;
   int wakeup_read_fd_ = -1;
   int wakeup_write_fd_ = -1;
 

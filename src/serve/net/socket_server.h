@@ -90,9 +90,6 @@ struct SocketServerConfig {
   /// Per-connection unsent-output bound before reads pause
   /// (LC_SERVE_WRITE_BUFFER, default 1 MiB).
   size_t write_high_water = 1 << 20;
-  /// Readiness backend: "epoll" (Linux default) or "poll"
-  /// (LC_SERVE_EVENT_BACKEND).
-  std::string backend;
   /// listen(2) backlog (per listener).
   int backlog = 128;
   /// Shutdown drain deadline before stragglers are force-closed

@@ -12,11 +12,6 @@
 
 namespace lc {
 
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 StatusOr<int64_t> FileSize(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0) {
@@ -60,34 +55,12 @@ Status WriteStringToFile(const std::string& path, const std::string& content) {
   return Status::OK();
 }
 
-Status MakeDirs(const std::string& path) {
-  if (path.empty()) return Status::InvalidArgument("empty path");
-  std::string partial;
-  for (size_t i = 0; i <= path.size(); ++i) {
-    if (i < path.size() && path[i] != '/') continue;
-    partial = path.substr(0, i == path.size() ? i : i + 1);
-    if (partial.empty() || partial == "/") continue;
-    if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Status::IoError(Format("mkdir(%s): %s", partial.c_str(),
-                                    std::strerror(errno)));
-    }
-  }
-  return Status::OK();
-}
-
 Status RemoveFile(const std::string& path) {
   if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
     return Status::IoError(Format("unlink(%s): %s", path.c_str(),
                                   std::strerror(errno)));
   }
   return Status::OK();
-}
-
-std::string PathJoin(const std::string& a, const std::string& b) {
-  if (a.empty()) return b;
-  if (b.empty()) return a;
-  if (a.back() == '/') return a + (b.front() == '/' ? b.substr(1) : b);
-  return a + (b.front() == '/' ? b : "/" + b);
 }
 
 }  // namespace lc

@@ -10,9 +10,6 @@
 
 namespace lc {
 
-/// True if `path` exists (any file type).
-bool FileExists(const std::string& path);
-
 /// File size in bytes; NotFound if missing.
 StatusOr<int64_t> FileSize(const std::string& path);
 
@@ -22,14 +19,8 @@ StatusOr<std::string> ReadFileToString(const std::string& path);
 /// Writes (truncating) the whole string to the file.
 Status WriteStringToFile(const std::string& path, const std::string& content);
 
-/// Recursively creates a directory (mkdir -p semantics).
-Status MakeDirs(const std::string& path);
-
 /// Removes a file if present; OK if it did not exist.
 Status RemoveFile(const std::string& path);
-
-/// Joins two path components with exactly one separator.
-std::string PathJoin(const std::string& a, const std::string& b);
 
 }  // namespace lc
 

@@ -5,16 +5,9 @@
 #include "db/column.h"
 #include "util/check.h"
 #include "util/logging.h"
-#include "util/str.h"
 #include "util/timer.h"
 
 namespace lc {
-
-std::string GeneratorConfig::CacheKey() const {
-  return Format("gen:v1:seed=%llu:joins=%d-%d:skipempty=%d",
-                static_cast<unsigned long long>(seed), min_joins, max_joins,
-                skip_empty ? 1 : 0);
-}
 
 QueryGenerator::QueryGenerator(const Database* db, GeneratorConfig config)
     : db_(db), config_(config), rng_(config.seed) {

@@ -29,8 +29,6 @@ struct GeneratorConfig {
   /// Upper bound on generation attempts per accepted query, to guarantee
   /// termination on hostile configurations.
   int max_attempts_per_query = 200;
-
-  std::string CacheKey() const;
 };
 
 /// Stateful random query generator over one database.

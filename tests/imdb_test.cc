@@ -246,16 +246,5 @@ TEST(ImdbGeneratorTest, CorrelationKnobRemovesDependence) {
   EXPECT_LT(static_cast<double>(matching) / static_cast<double>(total), 0.45);
 }
 
-TEST(ImdbConfigTest, CacheKeyReflectsEveryKnob) {
-  ImdbConfig a = SmallConfig();
-  ImdbConfig b = SmallConfig();
-  EXPECT_EQ(a.CacheKey(), b.CacheKey());
-  b.correlation_strength = 0.123;
-  EXPECT_NE(a.CacheKey(), b.CacheKey());
-  b = SmallConfig();
-  b.seed = 99;
-  EXPECT_NE(a.CacheKey(), b.CacheKey());
-}
-
 }  // namespace
 }  // namespace lc

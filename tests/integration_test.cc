@@ -1,18 +1,20 @@
 // Cross-module integration tests: the full Experiment harness at miniature
-// scale (database -> workloads -> cached training -> estimators), cache
-// round trips through the harness, and the headline comparative claim at
-// small scale (MSCN's tail behaviour vs the sampling baselines on 0-tuple
-// queries).
+// scale (database -> workloads -> training -> estimators), the harness's
+// determinism (a rebuild reproduces every workload and model byte for
+// byte), and the headline comparative claim at small scale (MSCN's tail
+// behaviour vs the sampling baselines on 0-tuple queries).
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eval/experiment.h"
 #include "eval/report.h"
-#include "util/file.h"
 
 namespace lc {
 namespace {
@@ -34,18 +36,7 @@ ExperimentConfig MiniConfig() {
   return config;
 }
 
-class IntegrationTest : public testing::Test {
- protected:
-  void SetUp() override {
-    cache_dir_ = testing::TempDir() + "/lc_integration_cache";
-    ::setenv("LC_CACHE_DIR", cache_dir_.c_str(), 1);
-  }
-  void TearDown() override { ::unsetenv("LC_CACHE_DIR"); }
-
-  std::string cache_dir_;
-};
-
-TEST_F(IntegrationTest, HarnessMaterializesAllWorkloads) {
+TEST(IntegrationTest, HarnessMaterializesAllWorkloads) {
   Experiment experiment(MiniConfig());
   const Workload& training = experiment.TrainingWorkload();
   const Workload& synthetic = experiment.SyntheticWorkload();
@@ -66,7 +57,7 @@ TEST_F(IntegrationTest, HarnessMaterializesAllWorkloads) {
   }
 }
 
-TEST_F(IntegrationTest, TrainingAndSyntheticWorkloadsAreDisjointSeeds) {
+TEST(IntegrationTest, TrainingAndSyntheticWorkloadsAreDisjointSeeds) {
   Experiment experiment(MiniConfig());
   std::set<std::string> training_keys;
   for (const LabeledQuery& labeled : experiment.TrainingWorkload().queries) {
@@ -81,29 +72,46 @@ TEST_F(IntegrationTest, TrainingAndSyntheticWorkloadsAreDisjointSeeds) {
   EXPECT_LT(overlap, experiment.SyntheticWorkload().size() / 2);
 }
 
-TEST_F(IntegrationTest, ModelTrainsOnceAndReloadsFromCache) {
+// Every bench result is computed fresh from the code, so two harnesses
+// built from one config must agree exactly: the labelled workloads and the
+// trained model byte for byte, and the training curve epoch for epoch
+// (wall-clock seconds excepted).
+TEST(IntegrationTest, RebuiltHarnessReproducesWorkloadsAndModel) {
+  Experiment first(MiniConfig());
+  Experiment second(MiniConfig());
+  first.PrefetchWorkloads();
+  second.PrefetchWorkloads();
+  EXPECT_EQ(first.TrainingWorkload().Serialize(),
+            second.TrainingWorkload().Serialize());
+  EXPECT_EQ(first.SyntheticWorkload().Serialize(),
+            second.SyntheticWorkload().Serialize());
+  EXPECT_EQ(first.ScaleWorkload().Serialize(),
+            second.ScaleWorkload().Serialize());
+  EXPECT_EQ(first.JobLightWorkload().Serialize(),
+            second.JobLightWorkload().Serialize());
+
   TrainingHistory first_history;
-  {
-    Experiment experiment(MiniConfig());
-    experiment.Model(FeatureVariant::kBitmaps, &first_history);
-    ASSERT_FALSE(first_history.epochs.empty());
-    EXPECT_GT(first_history.total_seconds, 0.0);
-  }
-  // A fresh harness with the same config must load, not retrain: the
-  // cached history is byte-identical.
-  {
-    Experiment experiment(MiniConfig());
-    TrainingHistory second_history;
-    experiment.Model(FeatureVariant::kBitmaps, &second_history);
-    ASSERT_EQ(second_history.epochs.size(), first_history.epochs.size());
-    EXPECT_DOUBLE_EQ(second_history.total_seconds,
-                     first_history.total_seconds);
-    EXPECT_DOUBLE_EQ(second_history.epochs.back().validation_mean_qerror,
-                     first_history.epochs.back().validation_mean_qerror);
+  TrainingHistory second_history;
+  const std::string first_bytes =
+      first.Model(FeatureVariant::kBitmaps, &first_history).ToBytes();
+  const std::string second_bytes =
+      second.Model(FeatureVariant::kBitmaps, &second_history).ToBytes();
+  EXPECT_EQ(first_bytes, second_bytes);
+  ASSERT_EQ(first_history.epochs.size(),
+            static_cast<size_t>(MiniConfig().mscn.epochs));
+  ASSERT_EQ(second_history.epochs.size(), first_history.epochs.size());
+  EXPECT_GT(first_history.total_seconds, 0.0);
+  for (size_t i = 0; i < first_history.epochs.size(); ++i) {
+    EXPECT_EQ(second_history.epochs[i].train_loss,
+              first_history.epochs[i].train_loss)
+        << "epoch " << i + 1;
+    EXPECT_EQ(second_history.epochs[i].validation_mean_qerror,
+              first_history.epochs[i].validation_mean_qerror)
+        << "epoch " << i + 1;
   }
 }
 
-TEST_F(IntegrationTest, AllEstimatorsProducePositiveFiniteEstimates) {
+TEST(IntegrationTest, AllEstimatorsProducePositiveFiniteEstimates) {
   Experiment experiment(MiniConfig());
   const Workload& synthetic = experiment.SyntheticWorkload();
   CardinalityEstimator* estimators[] = {
@@ -119,7 +127,7 @@ TEST_F(IntegrationTest, AllEstimatorsProducePositiveFiniteEstimates) {
   }
 }
 
-TEST_F(IntegrationTest, MscnIsCompetitiveAtTheTail) {
+TEST(IntegrationTest, MscnIsCompetitiveAtTheTail) {
   // The paper's central quantitative claim, checked directionally: with an
   // adequately trained model, MSCN's 95th-percentile and mean q-errors on
   // the synthetic workload are in the ballpark of the best baseline or
@@ -151,7 +159,7 @@ TEST_F(IntegrationTest, MscnIsCompetitiveAtTheTail) {
   EXPECT_LT(mscn.p95, 30.0);
 }
 
-TEST_F(IntegrationTest, VariantModelsHaveDistinctFootprints) {
+TEST(IntegrationTest, VariantModelsHaveDistinctFootprints) {
   Experiment experiment(MiniConfig());
   const size_t none =
       experiment.Model(FeatureVariant::kNoSamples).ByteSize();
@@ -164,7 +172,7 @@ TEST_F(IntegrationTest, VariantModelsHaveDistinctFootprints) {
   EXPECT_LT(counts, bitmaps);
 }
 
-TEST_F(IntegrationTest, SetupHeaderMentionsScaleKnobs) {
+TEST(IntegrationTest, SetupHeaderMentionsScaleKnobs) {
   Experiment experiment(MiniConfig());
   std::ostringstream os;
   experiment.PrintSetup(os);

@@ -44,6 +44,13 @@ class FixtureTreeTest(unittest.TestCase):
         self.assertIn("[unlisted-knob]", violations[0])
         self.assertIn("LC_FIXTURE_UNLISTED", violations[0])
 
+    def test_stale_knob_fails_only_inside_knob_section(self):
+        violations = run_on("stale_knob")
+        self.assertEqual(len(violations), 1, violations)
+        self.assertIn("[stale-knob]", violations[0])
+        self.assertIn("README.md:5", violations[0])
+        self.assertIn("LC_FIXTURE_STALE", violations[0])
+
     def test_raw_mutex_fails_per_token(self):
         violations = run_on("raw_mutex")
         # The member declaration plus both types in the lock_guard line.

@@ -192,9 +192,8 @@ SocketServerConfig NetConfig(std::vector<std::string> listen) {
   config.idle_timeout_ms = 0;   // Tests that reap opt in explicitly.
   config.stats_interval_ms = 0; // Tests that log opt in explicitly.
   config.drain_timeout_ms = 20000;
-  // Honor the backend and loop-count knobs so CI can run this whole suite
-  // over poll(2) and with the transport sharded across 4 loops.
-  config.backend = GetEnvString("LC_SERVE_EVENT_BACKEND", "");
+  // Honor the loop-count knob so CI can run this whole suite with the
+  // transport sharded across 4 loops.
   config.loops = static_cast<int>(GetEnvInt("LC_SERVE_LOOPS", 1));
   return config;
 }

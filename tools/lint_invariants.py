@@ -22,6 +22,11 @@ Enforced rules (one violation line per finding, exit 1 on any):
                   never drift from the code again. (tests/ may use private
                   LC_TEST_* knobs; they are exercised, not documented.)
 
+  stale-knob      The reverse of unlisted-knob: every LC_* name in
+                  README.md's "Tuning knobs" section must be read by some
+                  file under src/, bench/, or examples/, so a deleted knob
+                  cannot stay documented as if it still did something.
+
   raw-mutex       Every mutex in src/ is the annotated lc::Mutex /
                   lc::SharedMutex / lc::CondVar wrapper from util/mutex.h,
                   never a raw std:: synchronization type — a raw std::mutex
@@ -75,6 +80,9 @@ LOOSE_PARSE_ALLOWED = {
 KNOB_READ_RE = re.compile(
     r"GetEnv(?:Int|Double|String|Bool)\s*\(\s*\"(LC_[A-Z0-9_]+)\""
 )
+
+KNOB_NAME_RE = re.compile(r"\bLC_[A-Z0-9_]*[A-Z0-9]\b")
+KNOB_SECTION_HEADING = "## Tuning knobs"
 
 STD_SYNC_RE = re.compile(
     r"\bstd\s*::\s*(mutex|shared_mutex|recursive_mutex|timed_mutex"
@@ -138,6 +146,19 @@ def iter_source_files(root, top_dirs):
 
 def line_of(text, offset):
     return text.count("\n", 0, offset) + 1
+
+
+def documented_knobs(readme):
+    """Maps each LC_* name in README's knob section to its first line."""
+    knobs = {}
+    in_section = False
+    for number, line in enumerate(readme.splitlines(), start=1):
+        if line.startswith("## "):
+            in_section = line.strip() == KNOB_SECTION_HEADING
+        elif in_section:
+            for match in KNOB_NAME_RE.finditer(line):
+                knobs.setdefault(match.group(0), number)
+    return knobs
 
 
 def check_tree(root):
@@ -215,6 +236,13 @@ def check_tree(root):
                 path, line, "unlisted-knob",
                 f"knob {knob} is read here but missing from README.md's "
                 "knob table",
+            )
+    for knob, line in sorted(documented_knobs(readme).items()):
+        if knob not in knobs_read:
+            report(
+                readme_path, line, "stale-knob",
+                f"knob {knob} is listed in README.md's knob table but "
+                "nothing in src/, bench/, or examples/ reads it",
             )
 
     return violations
