@@ -1,5 +1,5 @@
 // Microbenchmarks of the neural-network substrate: matmul kernels per
-// backend (scalar / AVX2 / AVX-512), a full MSCN-shaped forward pass, a
+// backend (scalar / AVX2), a full MSCN-shaped forward pass, a
 // training step (forward + backward + Adam), and batched inference — the
 // cost model behind section 4.7.
 
@@ -27,8 +27,6 @@ const nn::KernelOps* BackendOps(int64_t which) {
       return &nn::ScalarKernelOps();
     case nn::KernelBackend::kAvx2:
       return nn::Avx2KernelOps();
-    case nn::KernelBackend::kAvx512:
-      return nn::Avx512KernelOps();
   }
   return nullptr;
 }
@@ -62,9 +60,9 @@ BENCHMARK(BM_MatMul)
     ->Args({256, 256, 256})
     ->Args({256, 1068, 256});
 
-// The same GEMM pinned to one backend's dispatch table: the speedup ratios
-// between the scalar/avx2/avx512 rows are the headline numbers of the
-// SIMD backend work (BENCH_pr7_simd_quant.json).
+// The same GEMM pinned to one backend's dispatch table: the speedup of the
+// avx2 rows over the scalar ones is the headline number of the SIMD backend
+// (recorded in BENCH_pr7_simd_quant.json).
 void BM_GemmBackend(benchmark::State& state) {
   const nn::KernelOps* ops = BackendOps(state.range(0));
   if (ops == nullptr) {
@@ -89,15 +87,11 @@ BENCHMARK(BM_GemmBackend)
     ->ArgNames({"backend", "m", "k", "n"})
     ->Args({0, 256, 256, 256})
     ->Args({1, 256, 256, 256})
-    ->Args({2, 256, 256, 256})
     ->Args({0, 256, 1068, 256})
     ->Args({1, 256, 1068, 256})
-    ->Args({2, 256, 1068, 256})
     ->Args({1, 64, 256, 256})
-    ->Args({2, 64, 256, 256})
-    // Odd shapes: the masked-remainder lanes must not fall off a cliff.
-    ->Args({1, 61, 131, 67})
-    ->Args({2, 61, 131, 67});
+    // Odd shapes: the remainder columns must not fall off a cliff.
+    ->Args({1, 61, 131, 67});
 
 // Shared fixture: a small database, workload and featurized batch.
 struct MscnFixture {

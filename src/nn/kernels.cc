@@ -206,27 +206,17 @@ struct ActiveKernels {
 
 ActiveKernels ResolveFromEnv() {
   const std::string pick = GetEnvString("LC_NN_BACKEND", "auto");
-  if (pick == "scalar") {
+  LC_CHECK(pick == "auto" || pick == "scalar" || pick == "avx2")
+      << "LC_NN_BACKEND=\"" + pick +
+             "\" is not a kernel backend; use scalar, avx2 or auto";
+  const KernelOps* avx2 = Avx2KernelOps();
+  if (pick == "scalar" || (pick == "auto" && avx2 == nullptr)) {
     return {&ScalarKernelOps(), KernelBackend::kScalar};
   }
-  const KernelOps* avx2 = Avx2KernelOps();
-  if (pick == "avx2") {
-    LC_CHECK(avx2 != nullptr)
-        << "LC_NN_BACKEND=avx2 but AVX2 kernels are unavailable "
-           "(not compiled in, or the CPU lacks AVX2/FMA)";
-    return {avx2, KernelBackend::kAvx2};
-  }
-  const KernelOps* avx512 = Avx512KernelOps();
-  if (pick == "avx512") {
-    LC_CHECK(avx512 != nullptr)
-        << "LC_NN_BACKEND=avx512 but AVX-512 kernels are unavailable "
-           "(not compiled in, or the CPU lacks AVX512F)";
-    return {avx512, KernelBackend::kAvx512};
-  }
-  // "auto" (and anything unrecognized): best available.
-  if (avx512 != nullptr) return {avx512, KernelBackend::kAvx512};
-  if (avx2 != nullptr) return {avx2, KernelBackend::kAvx2};
-  return {&ScalarKernelOps(), KernelBackend::kScalar};
+  LC_CHECK(avx2 != nullptr)
+      << "LC_NN_BACKEND=avx2 but AVX2 kernels are unavailable "
+         "(not compiled in, or the CPU lacks AVX2/FMA)";
+  return {avx2, KernelBackend::kAvx2};
 }
 
 ActiveKernels& Active() {
@@ -242,8 +232,6 @@ const char* KernelBackendName(KernelBackend backend) {
       return "scalar";
     case KernelBackend::kAvx2:
       return "avx2";
-    case KernelBackend::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -270,17 +258,6 @@ const KernelOps* Avx2KernelOps() {
 #endif
 }
 
-const KernelOps* Avx512KernelOps() {
-#if defined(LC_NN_KERNELS_AVX512)
-  static const KernelOps* ops = __builtin_cpu_supports("avx512f")
-                                    ? internal::Avx512KernelOpsImpl()
-                                    : nullptr;
-  return ops;
-#else
-  return nullptr;
-#endif
-}
-
 const KernelOps& Ops() { return *Active().ops; }
 
 KernelBackend ActiveKernelBackend() { return Active().backend; }
@@ -295,13 +272,6 @@ void SetKernelBackend(KernelBackend backend) {
       LC_CHECK(avx2 != nullptr) << "AVX2 kernels unavailable on this "
                                    "build/CPU";
       Active() = {avx2, KernelBackend::kAvx2};
-      return;
-    }
-    case KernelBackend::kAvx512: {
-      const KernelOps* avx512 = Avx512KernelOps();
-      LC_CHECK(avx512 != nullptr) << "AVX-512 kernels unavailable on this "
-                                     "build/CPU";
-      Active() = {avx512, KernelBackend::kAvx512};
       return;
     }
   }

@@ -1,33 +1,32 @@
 // SIMD kernel backend for the NN substrate.
 //
 // Every hot floating-point loop in the tensor/tape/optimizer stack funnels
-// through the function table defined here. Three implementations exist:
+// through the function table defined here. Two implementations exist:
 //
-//   scalar  portable reference, always compiled; the ground truth that the
-//           parity tests (tests/nn_kernels_test.cc) compare against.
+//   scalar  portable reference, always compiled; the fallback on CPUs
+//           without AVX2 and the ground truth that the parity tests
+//           (tests/nn_kernels_test.cc) compare against.
 //   avx2    AVX2+FMA, compiled only where the toolchain supports
 //           -mavx2 -mfma (see src/nn/CMakeLists.txt) and selected at
 //           runtime only when cpuid reports both features.
-//   avx512  AVX-512F, compiled per-file with -mavx512f and selected at
-//           runtime only when cpuid reports it; 16-lane register-tiled
-//           variants of the same kernels.
 //
-// The active table is resolved once, on first use: the best available
-// backend (avx512 > avx2 > scalar), overridable with
-// LC_NN_BACKEND=scalar|avx2|avx512 (handy for A/B benchmarking and for
-// ruling SIMD in or out when debugging numerics).
+// The active table is resolved once, on first use: avx2 when the build and
+// the CPU have it, scalar otherwise, overridable with
+// LC_NN_BACKEND=scalar|avx2|auto (handy for A/B benchmarking and for
+// ruling SIMD in or out when debugging numerics). Any other value is an
+// LC_CHECK abort, as is forcing avx2 where it cannot run.
 // Numerics: the axpy-structured kernels (gemm, gemm_sparse_a, gemm_trans_a,
 // axpy, and the elementwise family) accumulate along the reduction
-// dimension in the same element order in every backend, so they differ only
-// by FMA contraction; gemm_trans_b is dot-product shaped and the vector
-// versions use lane-parallel partial sums (8 for AVX2, 16 for AVX-512 — a
-// tree reassociation). tests/nn_kernels_test.cc pins both kinds of
-// divergence to within 1e-5 on activation-scaled inputs.
+// dimension in the same element order in both backends, so they differ only
+// by FMA contraction; gemm_trans_b is dot-product shaped and the AVX2
+// version uses 8 lane-parallel partial sums (a tree reassociation).
+// tests/nn_kernels_test.cc pins both kinds of divergence to within 1e-5 on
+// activation-scaled inputs.
 //
 // All kernels take raw row-major float pointers. Buffers may overlap only
 // where a kernel documents in-place operation; none require alignment
-// (unaligned loads are used), but lc::Tensor hands out 64-byte-aligned
-// storage so even full AVX-512 vector loads never split cache lines.
+// (unaligned loads are used), but lc::Tensor hands out cache-line-aligned
+// storage so no vector load splits a cache line.
 
 #ifndef LC_NN_KERNELS_H_
 #define LC_NN_KERNELS_H_
@@ -37,9 +36,9 @@
 namespace lc {
 namespace nn {
 
-enum class KernelBackend { kScalar, kAvx2, kAvx512 };
+enum class KernelBackend { kScalar, kAvx2 };
 
-/// "scalar" / "avx2" / "avx512".
+/// "scalar" / "avx2".
 const char* KernelBackendName(KernelBackend backend);
 
 /// Table of compute kernels; one instance per backend. Dimension convention
@@ -116,9 +115,6 @@ const KernelOps& ScalarKernelOps();
 /// AVX2+FMA implementation, or null when the build or the CPU lacks it.
 const KernelOps* Avx2KernelOps();
 
-/// AVX-512F implementation, or null when the build or the CPU lacks it.
-const KernelOps* Avx512KernelOps();
-
 /// Forces the active backend (tests / benchmarks). LC_CHECK-fails if the
 /// requested backend is unavailable.
 void SetKernelBackend(KernelBackend backend);
@@ -126,8 +122,6 @@ void SetKernelBackend(KernelBackend backend);
 namespace internal {
 // Defined in kernels_avx2.cc, present only in AVX2-capable builds.
 const KernelOps* Avx2KernelOpsImpl();
-// Defined in kernels_avx512.cc, present only in AVX-512-capable builds.
-const KernelOps* Avx512KernelOpsImpl();
 }  // namespace internal
 
 }  // namespace nn

@@ -90,11 +90,21 @@ void AxpyTile(const float* a_base, int64_t a_r_stride, int64_t a_t_stride,
   }
 }
 
-// Dispatches the 1..3 leftover rows of a 4-row blocking.
+// Row blocking of the axpy GEMMs: a 6-row tile keeps 12 accumulators, 2 B
+// vectors and the broadcast A value in the 16 ymm registers.
+constexpr int64_t kTileRows = 6;
+
+// Dispatches the 1..5 leftover rows of the row blocking.
 void AxpyTileRemainder(int64_t rows, const float* a_base, int64_t a_r_stride,
                        int64_t a_t_stride, const float* b_base, float* c_base,
                        int64_t t_len, int64_t n) {
   switch (rows) {
+    case 5:
+      AxpyTile<5>(a_base, a_r_stride, a_t_stride, b_base, c_base, t_len, n);
+      return;
+    case 4:
+      AxpyTile<4>(a_base, a_r_stride, a_t_stride, b_base, c_base, t_len, n);
+      return;
     case 3:
       AxpyTile<3>(a_base, a_r_stride, a_t_stride, b_base, c_base, t_len, n);
       return;
@@ -113,9 +123,9 @@ void GemmAvx2(const float* a, const float* b, float* c, int64_t m, int64_t k,
               int64_t n, bool accumulate) {
   if (!accumulate) std::fill(c, c + m * n, 0.0f);
   int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    AxpyTile<4>(a + i * k, /*a_r_stride=*/k, /*a_t_stride=*/1, b, c + i * n,
-                /*t_len=*/k, n);
+  for (; i + kTileRows <= m; i += kTileRows) {
+    AxpyTile<kTileRows>(a + i * k, /*a_r_stride=*/k, /*a_t_stride=*/1, b,
+                        c + i * n, /*t_len=*/k, n);
   }
   AxpyTileRemainder(m - i, a + i * k, k, 1, b, c + i * n, k, n);
 }
@@ -125,9 +135,9 @@ void GemmTransAAvx2(const float* a, const float* b, float* c, int64_t m,
   // C(k,n) = A(m,k)^T * B(m,n): same tile with A walked column-wise.
   if (!accumulate) std::fill(c, c + k * n, 0.0f);
   int64_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    AxpyTile<4>(a + p, /*a_r_stride=*/1, /*a_t_stride=*/k, b, c + p * n,
-                /*t_len=*/m, n);
+  for (; p + kTileRows <= k; p += kTileRows) {
+    AxpyTile<kTileRows>(a + p, /*a_r_stride=*/1, /*a_t_stride=*/k, b,
+                        c + p * n, /*t_len=*/m, n);
   }
   AxpyTileRemainder(k - p, a + p, 1, k, b, c + p * n, m, n);
 }
@@ -160,46 +170,81 @@ void GemmSparseAAvx2(const float* a, const float* b, float* c, int64_t m,
   }
 }
 
+// Lane r of the result is Hsum(v[r]), computed for eight vectors at once
+// with Hsum's association, (x0+x4)+(x2+x6) + (x1+x5)+(x3+x7), so the sums
+// match a per-vector Hsum bit for bit.
+__m256 Hsum8(const __m256 v[8]) {
+  // Halves: h[q] holds x(i)+x(i+4) of v[2q] in its low 128 bits and of
+  // v[2q+1] in its high 128 bits.
+  __m256 h[4];
+  for (int q = 0; q < 4; ++q) {
+    h[q] = _mm256_add_ps(_mm256_permute2f128_ps(v[2 * q], v[2 * q + 1], 0x20),
+                         _mm256_permute2f128_ps(v[2 * q], v[2 * q + 1], 0x31));
+  }
+  // Quarters: each 128-bit half holds (x0+x4)+(x2+x6), (x1+x5)+(x3+x7)
+  // of two vectors.
+  const __m256 lo = _mm256_add_ps(
+      _mm256_shuffle_ps(h[0], h[1], _MM_SHUFFLE(1, 0, 1, 0)),
+      _mm256_shuffle_ps(h[0], h[1], _MM_SHUFFLE(3, 2, 3, 2)));
+  const __m256 hi = _mm256_add_ps(
+      _mm256_shuffle_ps(h[2], h[3], _MM_SHUFFLE(1, 0, 1, 0)),
+      _mm256_shuffle_ps(h[2], h[3], _MM_SHUFFLE(3, 2, 3, 2)));
+  // Totals in the order v0 v2 v4 v6 | v1 v3 v5 v7; restore 0..7.
+  return _mm256_permutevar8x32_ps(_mm256_hadd_ps(lo, hi),
+                                  _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+}
+
 void GemmTransBAvx2(const float* a, const float* b, float* c, int64_t m,
                     int64_t k, int64_t n, bool accumulate) {
   // C(m,k) = A(m,n) * B(k,n)^T: rows of both operands are contiguous, so
   // each output element is a dot product over n, accumulated in 8 lane
   // partials + tail and reduced at the end — the one kernel here whose
-  // rounding is reassociated relative to the scalar reference.
+  // rounding is reassociated relative to the scalar reference. Eight
+  // outputs share each load of the A row and one Hsum8. Rows narrower than
+  // one vector have no partials to reduce: each output is a scalar dot.
   if (!accumulate) std::fill(c, c + m * k, 0.0f);
+  const int64_t n8 = n - n % 8;
+  const int64_t k_blocked = n8 > 0 ? k - k % 8 : 0;
   for (int64_t i = 0; i < m; ++i) {
     const float* a_row = a + i * n;
     float* c_row = c + i * k;
-    int64_t p = 0;
-    for (; p + 4 <= k; p += 4) {
-      __m256 acc[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
-                       _mm256_setzero_ps(), _mm256_setzero_ps()};
-      int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
+    for (int64_t p = 0; p < k_blocked; p += 8) {
+      __m256 acc[8];
+      for (int r = 0; r < 8; ++r) acc[r] = _mm256_setzero_ps();
+      for (int64_t j = 0; j < n8; j += 8) {
         const __m256 av = _mm256_loadu_ps(a_row + j);
-        for (int r = 0; r < 4; ++r) {
+        for (int r = 0; r < 8; ++r) {
           acc[r] = _mm256_fmadd_ps(
               av, _mm256_loadu_ps(b + (p + r) * n + j), acc[r]);
         }
       }
-      float tail[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-      for (; j < n; ++j) {
-        for (int r = 0; r < 4; ++r) {
-          tail[r] = std::fmaf(a_row[j], b[(p + r) * n + j], tail[r]);
+      __m256 dots = Hsum8(acc);
+      if (n8 < n) {
+        alignas(32) float tail[8];
+        for (int r = 0; r < 8; ++r) {
+          float sum = 0.0f;
+          for (int64_t j = n8; j < n; ++j) {
+            sum = std::fmaf(a_row[j], b[(p + r) * n + j], sum);
+          }
+          tail[r] = sum;
         }
+        dots = _mm256_add_ps(dots, _mm256_load_ps(tail));
       }
-      for (int r = 0; r < 4; ++r) c_row[p + r] += Hsum(acc[r]) + tail[r];
+      _mm256_storeu_ps(c_row + p,
+                       _mm256_add_ps(_mm256_loadu_ps(c_row + p), dots));
     }
-    for (; p < k; ++p) {
+    for (int64_t p = k_blocked; p < k; ++p) {
       const float* b_row = b + p * n;
-      __m256 acc = _mm256_setzero_ps();
-      int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(a_row + j),
-                              _mm256_loadu_ps(b_row + j), acc);
+      float dot = 0.0f;
+      if (n8 > 0) {
+        __m256 acc = _mm256_setzero_ps();
+        for (int64_t j = 0; j < n8; j += 8) {
+          acc = _mm256_fmadd_ps(_mm256_loadu_ps(a_row + j),
+                                _mm256_loadu_ps(b_row + j), acc);
+        }
+        dot = Hsum(acc);
       }
-      float dot = Hsum(acc);
-      for (; j < n; ++j) dot = std::fmaf(a_row[j], b_row[j], dot);
+      for (int64_t j = n8; j < n; ++j) dot = std::fmaf(a_row[j], b_row[j], dot);
       c_row[p] += dot;
     }
   }

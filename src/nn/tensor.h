@@ -2,12 +2,11 @@
 // needs. This module is the substrate standing in for PyTorch: the tensors
 // here carry no autograd state — differentiation lives in nn/tape.h.
 //
-// Storage is 64-byte aligned (kTensorAlignment) so the SIMD backend in
-// nn/kernels.h never splits a vector load across cache lines — even a full
-// 64-byte AVX-512 vector — and follows a
-// reusable-capacity model: Resize() shrinks and regrows within the existing
-// allocation without freeing, which lets the tape and model run batch after
-// batch without touching the allocator (see Tape::Reset).
+// Storage is cache-line aligned (kTensorAlignment), so every buffer starts
+// on a line boundary, and follows a reusable-capacity model: Resize()
+// shrinks and regrows within the existing allocation without freeing, which
+// lets the tape and model run batch after batch without touching the
+// allocator (see Tape::Reset).
 
 #ifndef LC_NN_TENSOR_H_
 #define LC_NN_TENSOR_H_
@@ -21,8 +20,8 @@
 
 namespace lc {
 
-/// Alignment (bytes) of every Tensor allocation; one AVX-512 vector (and
-/// one cache line), so no backend's full-width load straddles lines.
+/// Alignment (bytes) of every Tensor allocation: one cache line, so a
+/// buffer always starts on a line boundary.
 inline constexpr size_t kTensorAlignment = 64;
 
 /// Row-major dense float tensor with value semantics (copies are deep).
@@ -96,7 +95,7 @@ class Tensor {
   void Reserve(int64_t count);
 
   std::vector<int64_t> shape_;
-  float* data_ = nullptr;  // 32-byte-aligned; null iff capacity_ == 0.
+  float* data_ = nullptr;  // Cache-line aligned; null iff capacity_ == 0.
   int64_t size_ = 0;
   int64_t capacity_ = 0;
 };

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -36,8 +37,25 @@ ExperimentConfig MiniConfig() {
   return config;
 }
 
-TEST(IntegrationTest, HarnessMaterializesAllWorkloads) {
-  Experiment experiment(MiniConfig());
+// One MiniConfig() harness for the whole suite: it generates the database,
+// labels each workload and trains each model variant at most once, however
+// many tests read them. The harness is deterministic, so the order in which
+// tests first touch its pieces does not change what they see.
+class IntegrationTest : public testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    shared_ = std::make_unique<Experiment>(MiniConfig());
+  }
+  static void TearDownTestSuite() { shared_.reset(); }
+
+  static Experiment& harness() { return *shared_; }
+
+ private:
+  inline static std::unique_ptr<Experiment> shared_;
+};
+
+TEST_F(IntegrationTest, HarnessMaterializesAllWorkloads) {
+  Experiment& experiment = harness();
   const Workload& training = experiment.TrainingWorkload();
   const Workload& synthetic = experiment.SyntheticWorkload();
   const Workload& scale = experiment.ScaleWorkload();
@@ -57,8 +75,8 @@ TEST(IntegrationTest, HarnessMaterializesAllWorkloads) {
   }
 }
 
-TEST(IntegrationTest, TrainingAndSyntheticWorkloadsAreDisjointSeeds) {
-  Experiment experiment(MiniConfig());
+TEST_F(IntegrationTest, TrainingAndSyntheticWorkloadsAreDisjointSeeds) {
+  Experiment& experiment = harness();
   std::set<std::string> training_keys;
   for (const LabeledQuery& labeled : experiment.TrainingWorkload().queries) {
     training_keys.insert(labeled.query.CanonicalKey());
@@ -75,9 +93,9 @@ TEST(IntegrationTest, TrainingAndSyntheticWorkloadsAreDisjointSeeds) {
 // Every bench result is computed fresh from the code, so two harnesses
 // built from one config must agree exactly: the labelled workloads and the
 // trained model byte for byte, and the training curve epoch for epoch
-// (wall-clock seconds excepted).
-TEST(IntegrationTest, RebuiltHarnessReproducesWorkloadsAndModel) {
-  Experiment first(MiniConfig());
+// (wall-clock seconds excepted). The second harness is this test's own.
+TEST_F(IntegrationTest, RebuiltHarnessReproducesWorkloadsAndModel) {
+  Experiment& first = harness();
   Experiment second(MiniConfig());
   first.PrefetchWorkloads();
   second.PrefetchWorkloads();
@@ -111,8 +129,8 @@ TEST(IntegrationTest, RebuiltHarnessReproducesWorkloadsAndModel) {
   }
 }
 
-TEST(IntegrationTest, AllEstimatorsProducePositiveFiniteEstimates) {
-  Experiment experiment(MiniConfig());
+TEST_F(IntegrationTest, AllEstimatorsProducePositiveFiniteEstimates) {
+  Experiment& experiment = harness();
   const Workload& synthetic = experiment.SyntheticWorkload();
   CardinalityEstimator* estimators[] = {
       &experiment.Postgres(), &experiment.RandomSampling(),
@@ -127,7 +145,7 @@ TEST(IntegrationTest, AllEstimatorsProducePositiveFiniteEstimates) {
   }
 }
 
-TEST(IntegrationTest, MscnIsCompetitiveAtTheTail) {
+TEST_F(IntegrationTest, MscnIsCompetitiveAtTheTail) {
   // The paper's central quantitative claim, checked directionally: with an
   // adequately trained model, MSCN's 95th-percentile and mean q-errors on
   // the synthetic workload are in the ballpark of the best baseline or
@@ -159,8 +177,8 @@ TEST(IntegrationTest, MscnIsCompetitiveAtTheTail) {
   EXPECT_LT(mscn.p95, 30.0);
 }
 
-TEST(IntegrationTest, VariantModelsHaveDistinctFootprints) {
-  Experiment experiment(MiniConfig());
+TEST_F(IntegrationTest, VariantModelsHaveDistinctFootprints) {
+  Experiment& experiment = harness();
   const size_t none =
       experiment.Model(FeatureVariant::kNoSamples).ByteSize();
   const size_t counts =
@@ -172,8 +190,8 @@ TEST(IntegrationTest, VariantModelsHaveDistinctFootprints) {
   EXPECT_LT(counts, bitmaps);
 }
 
-TEST(IntegrationTest, SetupHeaderMentionsScaleKnobs) {
-  Experiment experiment(MiniConfig());
+TEST_F(IntegrationTest, SetupHeaderMentionsScaleKnobs) {
+  Experiment& experiment = harness();
   std::ostringstream os;
   experiment.PrintSetup(os);
   EXPECT_NE(os.str().find("LC_TITLES"), std::string::npos);

@@ -1,20 +1,18 @@
-// Kernel backend tests: SIMD-vs-scalar parity as a backend matrix (the
-// same randomized-shape suite runs against every vector backend the build
-// and CPU provide — AVX2 and AVX-512 — skipping cleanly where cpuid says
-// no), backend dispatch, the aligned reusable-capacity Tensor contract,
-// and tape workspace reuse.
+// Kernel backend tests: AVX2-vs-scalar parity (a randomized-shape suite
+// that skips cleanly where the build or cpuid lacks AVX2/FMA), backend
+// dispatch and LC_NN_BACKEND validation, the aligned reusable-capacity
+// Tensor contract, and tape workspace reuse.
 //
 // Parity tolerance is 1e-5 via Tensor::MaxAbsDiff: the axpy-structured
-// kernels share accumulation order with the scalar reference in every
-// backend (FMA rounding is their only divergence), while gemm_trans_b's
-// dot products reassociate through lane partials (8 for AVX2, 16 for
-// AVX-512) — inputs are scaled like activations (stddev 1/sqrt(reduction))
-// so both stay well inside the bound.
+// kernels share accumulation order with the scalar reference (FMA rounding
+// is their only divergence), while gemm_trans_b's dot products reassociate
+// through 8 lane partials — inputs are scaled like activations
+// (stddev 1/sqrt(reduction)) so both stay well inside the bound.
 
 #include "nn/kernels.h"
 
 #include <cmath>
-#include <string>
+#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,7 +31,7 @@ constexpr float kParityTol = 1e-5f;
 
 // Shapes chosen to hit every code path of the register tiling: scalars,
 // sub-vector sizes, exact multiples of 8/16, and odd remainders in both the
-// row blocking and the column lanes (of both vector widths).
+// row blocking and the column lanes.
 struct GemmShape {
   int64_t m, k, n;
 };
@@ -57,40 +55,19 @@ void Sparsify(Tensor* t, Rng* rng) {
   }
 }
 
-// nullptr when the backend is compiled out or the CPU lacks it.
-const KernelOps* BackendOps(KernelBackend backend) {
-  switch (backend) {
-    case KernelBackend::kScalar:
-      return &ScalarKernelOps();
-    case KernelBackend::kAvx2:
-      return Avx2KernelOps();
-    case KernelBackend::kAvx512:
-      return Avx512KernelOps();
-  }
-  return nullptr;
-}
-
-// The parity matrix: every test below runs once per vector backend against
-// the scalar reference, and self-skips when this build/CPU lacks it.
-class KernelParityTest : public testing::TestWithParam<KernelBackend> {
+// The parity suite: every test below runs the AVX2 kernels against the
+// scalar reference, and self-skips when this build/CPU lacks them.
+class KernelParityTest : public testing::Test {
  protected:
   void SetUp() override {
-    if (BackendOps(GetParam()) == nullptr) {
-      GTEST_SKIP() << KernelBackendName(GetParam())
-                   << " kernels unavailable on this build/CPU";
+    if (Avx2KernelOps() == nullptr) {
+      GTEST_SKIP() << "avx2 kernels unavailable on this build/CPU";
     }
   }
-  const KernelOps& simd() { return *BackendOps(GetParam()); }
+  const KernelOps& simd() { return *Avx2KernelOps(); }
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, KernelParityTest,
-                         testing::Values(KernelBackend::kAvx2,
-                                         KernelBackend::kAvx512),
-                         [](const testing::TestParamInfo<KernelBackend>& info) {
-                           return std::string(KernelBackendName(info.param));
-                         });
-
-TEST_P(KernelParityTest, GemmMatchesScalar) {
+TEST_F(KernelParityTest, GemmMatchesScalar) {
   const KernelOps& scalar = ScalarKernelOps();
   Rng rng(11);
   for (const GemmShape& s : kShapes) {
@@ -112,7 +89,7 @@ TEST_P(KernelParityTest, GemmMatchesScalar) {
   }
 }
 
-TEST_P(KernelParityTest, SparseGemmMatchesScalarAndDense) {
+TEST_F(KernelParityTest, SparseGemmMatchesScalarAndDense) {
   const KernelOps& scalar = ScalarKernelOps();
   Rng rng(13);
   for (const GemmShape& s : kShapes) {
@@ -134,7 +111,7 @@ TEST_P(KernelParityTest, SparseGemmMatchesScalarAndDense) {
   }
 }
 
-TEST_P(KernelParityTest, TransposedGemmsMatchScalar) {
+TEST_F(KernelParityTest, TransposedGemmsMatchScalar) {
   const KernelOps& scalar = ScalarKernelOps();
   Rng rng(17);
   for (const GemmShape& s : kShapes) {
@@ -164,7 +141,7 @@ TEST_P(KernelParityTest, TransposedGemmsMatchScalar) {
   }
 }
 
-TEST_P(KernelParityTest, ElementwiseKernelsMatchScalar) {
+TEST_F(KernelParityTest, ElementwiseKernelsMatchScalar) {
   const KernelOps& scalar = ScalarKernelOps();
   Rng rng(19);
   for (const int64_t rows : {1, 3, 8}) {
@@ -231,7 +208,7 @@ TEST_P(KernelParityTest, ElementwiseKernelsMatchScalar) {
   }
 }
 
-TEST_P(KernelParityTest, AdamUpdateMatchesScalar) {
+TEST_F(KernelParityTest, AdamUpdateMatchesScalar) {
   Rng rng(23);
   for (const int64_t n : {1, 7, 8, 17, 63, 130}) {
     const Tensor grad = Tensor::Randn({n}, 0.3f, &rng);
@@ -262,26 +239,36 @@ TEST(KernelDispatchTest, BackendOverrideRoundTrip) {
     EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kAvx2);
     EXPECT_EQ(&Ops(), Avx2KernelOps());
   }
-  if (Avx512KernelOps() != nullptr) {
-    SetKernelBackend(KernelBackend::kAvx512);
-    EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kAvx512);
-    EXPECT_EQ(&Ops(), Avx512KernelOps());
-  }
   SetKernelBackend(original);
 }
 
 TEST(KernelDispatchTest, BackendNames) {
   EXPECT_STREQ(KernelBackendName(KernelBackend::kScalar), "scalar");
   EXPECT_STREQ(KernelBackendName(KernelBackend::kAvx2), "avx2");
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kAvx512), "avx512");
+}
+
+// LC_NN_BACKEND is validated: a value that names no backend (one this build
+// does not have, a misspelling) aborts instead of silently running the auto
+// pick. The backend is resolved once per process, so the check runs in a
+// freshly exec'd child where nothing has resolved it yet.
+TEST(KernelDispatchDeathTest, UnknownEnvBackendIsFatal) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* value : {"sse4", "AVX2", ""}) {
+    EXPECT_DEATH(
+        {
+          setenv("LC_NN_BACKEND", value, 1);
+          ActiveKernelBackend();
+        },
+        "use scalar, avx2 or auto")
+        << "LC_NN_BACKEND=" << value;
+  }
 }
 
 TEST(TensorStorageTest, DataIsAligned) {
-  // The AVX-512 kernels (and the cache-line-sharing argument in tensor.h)
-  // rely on 64-byte storage alignment; pin the constant itself so a future
-  // "optimization" back to 32 fails loudly here.
+  // Tensor storage starts on a 64-byte cache line (see tensor.h); pin the
+  // constant itself so a future "optimization" back to 32 fails loudly here.
   static_assert(kTensorAlignment == 64,
-                "Tensor storage must be aligned for 64-byte vector loads");
+                "Tensor storage must be aligned to a 64-byte cache line");
   for (const int64_t n : {1, 7, 31, 256}) {
     const Tensor t({n});
     EXPECT_EQ(reinterpret_cast<uintptr_t>(t.data()) % 64, 0u);
@@ -346,10 +333,13 @@ TEST(TapeFusedOpTest, BiasReluMatchesUnfusedForwardAndBackward) {
   EXPECT_LT(b.grad.MaxAbsDiff(b2.grad), kParityTol);
 }
 
-// Trains the same tiny MLP under each available SIMD backend from identical
-// init and checks the loss trajectories agree with scalar — the fig6-style
-// convergence guarantee that SIMD does not change training outcomes.
+// Trains the same tiny MLP under the scalar and AVX2 backends from identical
+// init and checks the loss trajectories agree — the fig6-style convergence
+// guarantee that SIMD does not change training outcomes.
 TEST(BackendConvergenceTest, ScalarAndSimdLossesAgree) {
+  if (Avx2KernelOps() == nullptr) {
+    GTEST_SKIP() << "avx2 kernels unavailable on this build/CPU";
+  }
   const KernelBackend original = ActiveKernelBackend();
   const auto train = [](KernelBackend backend) {
     SetKernelBackend(backend);
@@ -375,24 +365,14 @@ TEST(BackendConvergenceTest, ScalarAndSimdLossesAgree) {
     return losses;
   };
   const std::vector<float> scalar_losses = train(KernelBackend::kScalar);
-  bool ran_simd = false;
-  for (const KernelBackend backend :
-       {KernelBackend::kAvx2, KernelBackend::kAvx512}) {
-    if (BackendOps(backend) == nullptr) continue;
-    ran_simd = true;
-    const std::vector<float> simd_losses = train(backend);
-    ASSERT_EQ(scalar_losses.size(), simd_losses.size());
-    for (size_t i = 0; i < scalar_losses.size(); ++i) {
-      EXPECT_NEAR(scalar_losses[i], simd_losses[i], 1e-3f)
-          << KernelBackendName(backend) << " step " << i;
-    }
-    // And training actually converged.
-    EXPECT_LT(simd_losses.back(), 0.5f * simd_losses.front());
-  }
+  const std::vector<float> simd_losses = train(KernelBackend::kAvx2);
   SetKernelBackend(original);
-  if (!ran_simd) {
-    GTEST_SKIP() << "no SIMD backend available on this build/CPU";
+  ASSERT_EQ(scalar_losses.size(), simd_losses.size());
+  for (size_t i = 0; i < scalar_losses.size(); ++i) {
+    EXPECT_NEAR(scalar_losses[i], simd_losses[i], 1e-3f) << "step " << i;
   }
+  // And training actually converged.
+  EXPECT_LT(simd_losses.back(), 0.5f * simd_losses.front());
 }
 
 }  // namespace
